@@ -35,17 +35,13 @@ use tnet_core::pipeline::Pipeline;
 use tnet_data::binning::BinScheme;
 use tnet_data::od_graph::{EdgeLabeling, VertexLabeling};
 use tnet_exec::{Exec, MetricsRegistry, Span, Tracer};
-use tnet_fsg::{
-    mine, mine_arena_with, mine_neighborhoods, mine_source, mine_with, FsgConfig, NbhdConfig,
-    Support,
-};
+use tnet_fsg::{mine, mine_neighborhoods, mine_source, mine_with, FsgConfig, NbhdConfig, Support};
 use tnet_graph::frozen::{FrozenStats, TxnSet};
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::StdRng;
 use tnet_gspan::{mine_dfs, mine_dfs_with, GspanConfig};
 use tnet_partition::single_graph::mine_single_graph;
 use tnet_partition::split::{split_graph, Strategy};
-use tnet_partition::{Granularity, TemporalOptions, WindowSpec};
 use tnet_subdue::{discover, discover_with, SubdueConfig};
 
 /// Regression gate for `stats.iso_tests` on the propagated default FSG
@@ -347,9 +343,9 @@ fn support_count_row(
     );
     let out_nf = mine_source(&frozen, &cfg_no_fp, &exec).unwrap();
     let ta = bench(&format!("support_count/{name}/arena"), samples, || {
-        mine_arena_with(txns, &cfg, &exec).unwrap()
+        mine_source(txns, &cfg, &exec).unwrap()
     });
-    let out_a = mine_arena_with(txns, &cfg, &exec).unwrap();
+    let out_a = mine_source(txns, &cfg, &exec).unwrap();
     let canon = pattern_bytes(&out_f);
     assert_eq!(
         canon,
@@ -489,101 +485,6 @@ fn partition_vs_neighborhood_row(name: &str, scale: f64, seed: u64, samples: usi
         ),
         ("nbhd_soa_bytes", Json::Num(nb.stats.soa_bytes as f64)),
     ])
-}
-
-/// Incremental-session benchmark: the same sliding-window workload
-/// driven through one [`tnet_temporal::run_windows`] session twice —
-/// delta re-counting on, then forced full per-window re-mining — at
-/// hour, day, and week granularity. The two runs must mine
-/// byte-identical per-window pattern sets (`identical` in the row;
-/// `--validate` gates on it), and on the non-smoke workload the
-/// incremental day run must beat the full run's wall clock
-/// (`full_over_incremental` > 1, also gated).
-fn temporal_incremental_row(
-    name: &str,
-    txns: &[tnet_data::Transaction],
-    spec: WindowSpec,
-    samples: usize,
-) -> Json {
-    let fsg_cfg = FsgConfig::default()
-        .with_support(Support::Count(4))
-        .with_max_edges(4)
-        .with_memory_budget(512 << 20);
-    let exec = Exec::new(1);
-    let scheme = BinScheme::paper_defaults();
-    let opts = TemporalOptions::default();
-    let run = |incremental: bool| {
-        let cfg = tnet_temporal::TemporalConfig::new(spec)
-            .with_fsg(fsg_cfg.clone())
-            .with_incremental(incremental);
-        tnet_temporal::run_windows(txns, &scheme, &opts, &cfg, &exec).unwrap()
-    };
-    let ti = bench(&format!("temporal/{name}/incremental"), samples, || {
-        run(true)
-    });
-    let inc = run(true);
-    let tf = bench(&format!("temporal/{name}/full"), samples, || run(false));
-    let full = run(false);
-    let window_bytes = |r: &tnet_temporal::TemporalRun| {
-        let mut s = String::new();
-        for w in &r.windows {
-            s.push_str(&format!("[{}, {})\n", w.txn_lo, w.txn_hi));
-            s.push_str(&pattern_bytes(&w.output));
-        }
-        s
-    };
-    let identical = window_bytes(&inc) == window_bytes(&full);
-    assert!(
-        identical,
-        "temporal/{name}: incremental and full window mining diverged"
-    );
-    Json::obj([
-        ("granularity", Json::Str(name.into())),
-        ("windows", Json::Num(inc.windows.len() as f64)),
-        ("wall_ms_incremental", Json::Num(ti.best_ms())),
-        ("wall_ms_full", Json::Num(tf.best_ms())),
-        (
-            "full_over_incremental",
-            Json::Num(tf.best_ms() / ti.best_ms().max(1e-9)),
-        ),
-        (
-            "incremental_windows",
-            Json::Num(inc.session.incremental_windows as f64),
-        ),
-        (
-            "patterns_recounted",
-            Json::Num(inc.session.patterns_recounted as f64),
-        ),
-        ("recount_skips", Json::Num(inc.session.recount_skips as f64)),
-        ("identical", Json::Bool(identical)),
-    ])
-}
-
-fn temporal_incremental_rows(seed: u64, smoke: bool, samples: usize) -> Vec<Json> {
-    let scale = if smoke { 0.01 } else { 0.05 };
-    let txns =
-        tnet_data::synth::generate(&tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed))
-            .transactions;
-    vec![
-        temporal_incremental_row(
-            "hour",
-            &txns,
-            WindowSpec::new(Granularity::Hour, 48, 24).expect("valid spec"),
-            samples,
-        ),
-        temporal_incremental_row(
-            "day",
-            &txns,
-            WindowSpec::new(Granularity::Day, 7, 1).expect("valid spec"),
-            samples,
-        ),
-        temporal_incremental_row(
-            "week",
-            &txns,
-            WindowSpec::new(Granularity::Week, 2, 1).expect("valid spec"),
-            samples,
-        ),
-    ]
 }
 
 /// One extra, untimed pass over every miner with a live tracer and
@@ -736,44 +637,6 @@ fn validate(path: &str) -> Result<(), String> {
         max_scale = max_scale.max(num(row, "scale_factor").unwrap_or(0.0));
     }
     let is_smoke = matches!(doc.get("smoke"), Some(Json::Bool(true)));
-    // Incremental-session differential: every granularity row must have
-    // mined byte-identical pattern sets on both paths, the sliding specs
-    // must actually exercise the delta path, and on the full (non-smoke)
-    // workload the incremental day run must beat full re-mining.
-    let temporal = match doc.get("temporal_incremental") {
-        Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-        Some(Json::Arr(_)) => return Err("temporal_incremental block is empty".into()),
-        _ => return Err("report has no 'temporal_incremental' block".into()),
-    };
-    for row in temporal {
-        let gran = match row.get("granularity") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("temporal_incremental row missing 'granularity'".into()),
-        };
-        if !matches!(row.get("identical"), Some(Json::Bool(true))) {
-            return Err(format!(
-                "temporal_incremental/{gran}: incremental and full window \
-                 mining are not byte-identical"
-            ));
-        }
-        let inc_windows = num(row, "incremental_windows")
-            .map_err(|_| format!("temporal_incremental/{gran} missing 'incremental_windows'"))?;
-        if inc_windows <= 0.0 {
-            return Err(format!(
-                "temporal_incremental/{gran}: the sliding spec never took the \
-                 delta re-counting path"
-            ));
-        }
-        if !is_smoke && gran == "day" {
-            let ratio = num(row, "full_over_incremental")?;
-            if ratio <= 1.0 {
-                return Err(format!(
-                    "REGRESSION — temporal_incremental/day full_over_incremental \
-                     = {ratio:.2}; delta re-counting is not beating full re-mining"
-                ));
-            }
-        }
-    }
     if !is_smoke && max_scale < 10.0 {
         return Err(format!(
             "full report's partition_vs_neighborhood block has no ≥10× scaled row \
@@ -863,7 +726,6 @@ fn main() -> ExitCode {
             samples,
         ));
     }
-    let temporal_rows = temporal_incremental_rows(opts.seed, opts.smoke, samples);
     let subdue_vertices = if opts.smoke { 25 } else { 50 };
     let subdue_rows = vec![subdue_row(0.015, opts.seed, subdue_vertices, samples)];
 
@@ -888,7 +750,6 @@ fn main() -> ExitCode {
         ("trace", trace),
         ("support_count", support_count),
         ("partition_vs_neighborhood", Json::Arr(pvn_rows)),
-        ("temporal_incremental", Json::Arr(temporal_rows)),
         ("disabled_span_ns_per_op", Json::Num(disabled_ns)),
         (
             "miners",

@@ -88,6 +88,20 @@ impl Args {
         }
     }
 
+    /// Boolean option with a default. Only `true` and `false` are
+    /// accepted; anything else is a usage error rather than a silent
+    /// `false`.
+    pub fn get_bool(&self, key: &str, default: bool) -> Result<bool, ArgError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some("true") => Ok(true),
+            Some("false") => Ok(false),
+            Some(v) => Err(ArgError(format!(
+                "--{key}: expected true or false, got '{v}'"
+            ))),
+        }
+    }
+
     /// Required typed option.
     #[allow(dead_code)] // part of the parsing API; commands currently use defaults
     pub fn require_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
@@ -180,6 +194,22 @@ mod tests {
         let a = Args::parse(&argv("gen --scale abc")).unwrap();
         assert!(a.get_parsed_or("scale", 1.0f64).is_err());
         assert!(a.require_parsed::<f64>("seed").is_err());
+    }
+
+    #[test]
+    fn bool_option_accepts_only_true_or_false() {
+        let a = Args::parse(&argv("mine --maximal true --verbose false")).unwrap();
+        assert_eq!(a.get_bool("maximal", false), Ok(true));
+        assert_eq!(a.get_bool("verbose", true), Ok(false));
+        assert_eq!(a.get_bool("flow", true), Ok(true));
+        for bad in ["yes", "1", "TRUE", "no", ""] {
+            let a = Args::parse(&["mine".into(), "--maximal".into(), bad.into()]).unwrap();
+            let e = a.get_bool("maximal", false).unwrap_err();
+            assert!(
+                e.0.contains("--maximal") && e.0.contains("true or false"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let max_edges: usize = args.get_parsed_or("max-edges", 5)?;
     let reps: usize = args.get_parsed_or("reps", 2)?;
     let top: usize = args.get_parsed_or("top", 15)?;
-    let maximal = args.get_or("maximal", "false") == "true";
-    let verbose = args.get_or("verbose", "false") == "true";
+    let maximal = args.get_bool("maximal", false)?;
+    let verbose = args.get_bool("verbose", false)?;
 
     let scheme = {
         let _t = exec.span().time("binning");

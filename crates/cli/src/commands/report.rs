@@ -32,7 +32,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     }
     let scale: f64 = args.get_parsed_or("scale", 0.05)?;
     let seed: u64 = args.get_parsed_or("seed", 42)?;
-    let with_extensions = args.get_or("extensions", "true") == "true";
+    let with_extensions = args.get_bool("extensions", true)?;
     let deadline_secs: f64 = args.get_parsed_or("deadline-secs", 0.0)?;
     // A week covers every sane supervision budget; anything past it is a
     // typo (and huge values would overflow `Duration::from_secs_f64`,

@@ -39,7 +39,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let batch: usize = args.get_parsed_or("batch", 4096)?;
     let cache: usize = args.get_parsed_or("cache", 256)?;
     let threads = args.exec()?.threads();
-    let stdin_eof = args.get_or("shutdown-on-stdin-eof", "true") == "true";
+    let stdin_eof = args.get_bool("shutdown-on-stdin-eof", true)?;
     let trace = args.get("trace") == Some("true") || args.get("trace-json").is_some();
 
     // Durability: `--data-dir PATH` turns on the WAL + snapshot layer.

@@ -53,6 +53,38 @@ fn unparseable_value_is_usage_error() {
 }
 
 #[test]
+fn non_boolean_value_is_usage_error() {
+    for (args, key) in [
+        (
+            &[
+                "temporal",
+                "--scale",
+                "0.005",
+                "--granularity",
+                "day",
+                "--verbose",
+                "yes",
+            ][..],
+            "--verbose",
+        ),
+        (
+            &["mine", "--scale", "0.005", "--maximal", "1"][..],
+            "--maximal",
+        ),
+        (
+            &["report", "--scale", "0.005", "--extensions", "no"][..],
+            "--extensions",
+        ),
+    ] {
+        let out = tnet().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "tnet {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error: ") && err.contains(key), "{err}");
+        assert_eq!(err.lines().count(), 1, "one-line stderr, got:\n{err}");
+    }
+}
+
+#[test]
 fn missing_input_file_is_runtime_error() {
     let out = tnet()
         .args(["stats", "--input", "/nonexistent/data.csv"])

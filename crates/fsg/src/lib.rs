@@ -25,17 +25,13 @@ pub mod extend;
 pub mod maximal;
 pub mod miner;
 pub mod nbhd;
-pub mod session;
 pub mod tidset;
 pub mod types;
 
 pub use maximal::{filter_patterns, filter_with_report, Keep, Reduction};
-pub use miner::{
-    mine, mine_arena_with, mine_for_algorithm1, mine_for_algorithm1_with, mine_source, mine_with,
-};
+pub use miner::{mine, mine_for_algorithm1, mine_for_algorithm1_with, mine_source, mine_with};
 pub use nbhd::{
     mine_frozen, mine_neighborhoods, NbhdConfig, NbhdError, NbhdIndex, NbhdOutput, NbhdPattern,
     NbhdStats, NbhdView,
 };
-pub use session::{MineSession, SessionStats};
 pub use types::{FrequentPattern, FsgConfig, FsgError, FsgOutput, MiningStats, Support};

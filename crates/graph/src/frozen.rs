@@ -535,12 +535,6 @@ impl TxnSet {
         );
         TxnSlice { set: self, lo, hi }
     }
-
-    /// Total packed edges across transactions `lo..hi`.
-    pub fn edge_count_in(&self, lo: usize, hi: usize) -> usize {
-        assert!(lo <= hi && hi <= self.len());
-        (self.e_off[hi] - self.e_off[lo]) as usize
-    }
 }
 
 /// A contiguous window `lo..hi` of a [`TxnSet`], itself a [`TxnSource`]
@@ -901,5 +895,20 @@ mod tests {
                 "graph.fingerprint_bytes"
             ]
         );
+    }
+
+    #[test]
+    fn slice_views_match_direct_views() {
+        use crate::view::TxnSource;
+        let txns: Vec<Graph> = (1..=5).map(|n| shapes::chain(n, 0, 1)).collect();
+        let set = TxnSet::freeze(&txns);
+        let slice = set.slice(1, 4);
+        assert_eq!(slice.txn_count(), 3);
+        for i in 0..3 {
+            let a = slice.txn(i);
+            let b = set.get(i + 1);
+            assert_eq!(a.edge_count(), b.edge_count());
+            assert_eq!(a.vertex_count(), b.vertex_count());
+        }
     }
 }

@@ -48,7 +48,6 @@
 //! ```
 
 pub mod canon;
-pub mod delta;
 pub mod dot;
 pub mod fingerprint;
 pub mod frozen;
@@ -61,7 +60,6 @@ pub mod stats;
 pub mod traverse;
 pub mod view;
 
-pub use delta::GraphDelta;
 pub use frozen::{FrozenGraph, FrozenStats, TxnRef, TxnSet, TxnSlice};
 pub use graph::{ELabel, EdgeId, Graph, GraphBuilder, VLabel, VertexId};
 pub use view::{GraphView, TxnSource};

@@ -192,7 +192,8 @@ pub fn mine_dfs(transactions: &[Graph], cfg: &GspanConfig) -> Result<GspanOutput
 /// then binary-searches candidate edges. The DFS walk itself stays
 /// sequential — the `visited` set is inherently serial — and TIDs are
 /// reassembled in input order, so the output is byte-identical to
-/// [`mine_dfs_arena_with`] and to itself at any thread count.
+/// [`mine_dfs_source`] over the arena graphs and to itself at any thread
+/// count.
 ///
 /// # Errors
 /// - [`GspanError::MemoryBudgetExceeded`] on a budget overrun; the
@@ -208,20 +209,8 @@ pub fn mine_dfs_with(
     mine_dfs_source(&frozen, cfg, exec)
 }
 
-/// As [`mine_dfs_with`], but traverses the mutable arena representation
-/// directly instead of freezing a CSR snapshot. Kept for differential
-/// testing and the frozen-vs-arena benchmark; both paths produce
-/// byte-identical output.
-pub fn mine_dfs_arena_with(
-    transactions: &[Graph],
-    cfg: &GspanConfig,
-    exec: &Exec,
-) -> Result<GspanOutput, GspanError> {
-    mine_dfs_source(transactions, cfg, exec)
-}
-
 /// The representation-generic DFS core behind [`mine_dfs_with`] (frozen
-/// [`TxnSet`]) and [`mine_dfs_arena_with`] (`&[Graph]`).
+/// [`TxnSet`]); over `&txns[..]` it walks the arena graphs directly.
 pub fn mine_dfs_source<T: TxnSource + ?Sized>(
     transactions: &T,
     cfg: &GspanConfig,

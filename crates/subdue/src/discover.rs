@@ -154,8 +154,8 @@ pub fn discover(g: &Graph, cfg: &SubdueConfig) -> Result<SubdueOutput, SubdueErr
 /// — for an already-compact arena the translation is the identity. The
 /// beam advances one expansion at a time and children are folded back in
 /// expansion order, so the search trajectory — and the output — is
-/// identical at any thread count and identical to
-/// [`discover_arena_with`].
+/// identical at any thread count and identical to [`discover_core`] on
+/// the arena graph.
 ///
 /// # Errors
 /// - [`SubdueError::MemoryBudgetExceeded`] on a budget overrun; the
@@ -188,21 +188,9 @@ pub fn discover_with(
     Ok(out)
 }
 
-/// As [`discover_with`], but walks the mutable arena representation
-/// directly instead of freezing a CSR snapshot. Kept for differential
-/// testing and the frozen-vs-arena benchmark; both paths produce
-/// identical output.
-pub fn discover_arena_with(
-    g: &Graph,
-    cfg: &SubdueConfig,
-    exec: &Exec,
-) -> Result<SubdueOutput, SubdueError> {
-    discover_core(g, cfg, exec)
-}
-
 /// The representation-generic beam search behind [`discover_with`]
-/// (frozen snapshot) and [`discover_arena_with`] (arena). Reported
-/// instance ids live in `g`'s own id space.
+/// (frozen snapshot); called with a [`Graph`] it walks the arena
+/// directly. Reported instance ids live in `g`'s own id space.
 pub fn discover_core<G: GraphView + Sync>(
     g: &G,
     cfg: &SubdueConfig,

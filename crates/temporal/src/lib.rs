@@ -1,18 +1,17 @@
 //! # tnet-temporal
 //!
-//! The temporal mining layer: drives a persistent [`MineSession`] across
-//! tumbling or sliding windows of hour/day/week units (ROADMAP item 3),
-//! and detects *flow patterns* — binned weight moving along short paths
-//! across consecutive windows, after Kosyfaki et al.'s spatio-temporal
-//! flow model — together with hub surges, deadhead cycles, and
-//! air-freight outliers.
+//! The temporal mining layer: mines tumbling or sliding windows of
+//! hour/day/week units (ROADMAP item 3), each on its own as the paper's
+//! §6 mines each temporal partition, and detects *flow patterns* —
+//! binned weight moving along short paths across consecutive windows,
+//! after Kosyfaki et al.'s spatio-temporal flow model — together with
+//! hub surges, deadhead cycles, and air-freight outliers.
 //!
 //! The driver materializes all units once ([`tnet_partition::unit_partition`]),
 //! freezes them into a single CSR [`TxnSet`], and mines each window as a
-//! contiguous slice. With `incremental` set, consecutive overlapping
-//! windows are served by delta re-counting; results are byte-identical
-//! to full per-window mining at any thread count (the session's core
-//! invariant).
+//! zero-copy contiguous slice of it. Windows share no mining state, so
+//! each window's output is exactly what mining that window's graphs
+//! alone produces, at any thread count.
 //!
 //! ```
 //! use tnet_data::{binning::BinScheme, generate, SynthConfig};
@@ -47,7 +46,7 @@ pub use flow::{
 use tnet_data::binning::BinScheme;
 use tnet_data::model::Transaction;
 use tnet_exec::Exec;
-use tnet_fsg::{FsgConfig, FsgError, FsgOutput, MineSession, SessionStats};
+use tnet_fsg::{mine_source, FsgConfig, FsgError, FsgOutput};
 use tnet_graph::frozen::TxnSet;
 use tnet_partition::{unit_partition, Granularity, TemporalError, TemporalOptions, WindowSpec};
 
@@ -87,34 +86,21 @@ impl From<FsgError> for TemporalRunError {
 pub struct TemporalConfig {
     /// Granularity, width, and slide of the windows.
     pub spec: WindowSpec,
-    /// Serve overlapping windows by delta re-counting instead of full
-    /// per-window mining. Results are identical either way.
-    pub incremental: bool,
-    /// Churn fraction above which an incremental session falls back to
-    /// a full re-count (see [`MineSession::with_churn_threshold`]).
-    pub churn_threshold: f64,
     /// The per-window miner configuration.
     pub fsg: FsgConfig,
 }
 
 impl TemporalConfig {
-    /// Incremental mining with default FSG settings and churn threshold.
+    /// Window mining with default FSG settings.
     pub fn new(spec: WindowSpec) -> TemporalConfig {
         TemporalConfig {
             spec,
-            incremental: true,
-            churn_threshold: 0.5,
             fsg: FsgConfig::default(),
         }
     }
 
     pub fn with_fsg(mut self, fsg: FsgConfig) -> TemporalConfig {
         self.fsg = fsg;
-        self
-    }
-
-    pub fn with_incremental(mut self, on: bool) -> TemporalConfig {
-        self.incremental = on;
         self
     }
 }
@@ -144,9 +130,25 @@ pub struct TemporalRun {
     /// Graph transactions across all units.
     pub total_txns: usize,
     pub windows: Vec<WindowResult>,
-    /// Session counters: windows, incremental vs full, delta volumes,
-    /// re-count work (`session.*` / `window.*` metrics).
-    pub session: SessionStats,
+    /// Window counters (`session.*` metrics).
+    pub session: WindowStats,
+}
+
+/// Per-run window counters. Every window is mined from scratch, so
+/// each one is also a full count: `session.windows` and
+/// `session.full_recounts` both read the window count.
+#[derive(Clone, Debug, Default)]
+pub struct WindowStats {
+    /// Windows mined.
+    pub windows: usize,
+}
+
+impl WindowStats {
+    /// Folds the counters into a metrics registry.
+    pub fn record_into(&self, metrics: &tnet_obs::MetricsRegistry) {
+        metrics.add("session.windows", self.windows as u64);
+        metrics.add("session.full_recounts", self.windows as u64);
+    }
 }
 
 impl TemporalRun {
@@ -159,10 +161,8 @@ impl TemporalRun {
 }
 
 /// Partitions `txns` into units, freezes them once, and mines every
-/// window of `cfg.spec` through one [`MineSession`]. With
-/// `cfg.incremental` unset the churn threshold is forced negative so
-/// every window takes the full re-count path — output is identical
-/// either way; only the wall clock and session counters differ.
+/// window of `cfg.spec` as a slice of that one frozen set. Each
+/// window's patterns carry window-local TIDs.
 ///
 /// # Errors
 /// [`TemporalRunError::Partition`] on invalid dates or window specs,
@@ -177,16 +177,10 @@ pub fn run_windows(
 ) -> Result<TemporalRun, TemporalRunError> {
     let up = unit_partition(txns, scheme, cfg.spec.granularity, opts)?;
     let set = TxnSet::freeze(&up.graphs);
-    let threshold = if cfg.incremental {
-        cfg.churn_threshold
-    } else {
-        -1.0
-    };
-    let mut session = MineSession::new(&set, cfg.fsg.clone()).with_churn_threshold(threshold);
     let mut windows = Vec::new();
     for (ulo, uhi) in cfg.spec.windows(up.units()) {
         let (lo, hi) = up.txn_range(ulo, uhi);
-        let output = session.advance(lo, hi, exec)?;
+        let output = mine_source(&set.slice(lo, hi), &cfg.fsg, exec)?;
         windows.push(WindowResult {
             unit_lo: ulo,
             unit_hi: uhi,
@@ -200,8 +194,10 @@ pub fn run_windows(
         first_unit: up.first_unit,
         units: up.units(),
         total_txns: up.graphs.len(),
+        session: WindowStats {
+            windows: windows.len(),
+        },
         windows,
-        session: session.stats.clone(),
     })
 }
 
@@ -222,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn sliding_day_run_is_incremental_and_exact() {
+    fn sliding_day_run_matches_fresh_mining() {
         let txns = small_dataset();
         let scheme = BinScheme::paper_defaults();
         let opts = TemporalOptions::default();
@@ -230,10 +226,7 @@ mod tests {
         let spec = WindowSpec::new(Granularity::Day, 7, 1).unwrap();
         let cfg = TemporalConfig::new(spec).with_fsg(fsg_cfg());
         let run = run_windows(&txns, &scheme, &opts, &cfg, &exec).unwrap();
-        assert!(
-            run.session.incremental_windows > 0,
-            "sliding windows should hit the delta path"
-        );
+        assert_eq!(run.session.windows, run.windows.len());
         // Ground truth: independent full mining of each window's graphs.
         let up = unit_partition(&txns, &scheme, Granularity::Day, &opts).unwrap();
         for w in &run.windows {
@@ -245,25 +238,6 @@ mod tests {
                 assert_eq!(a.tids, b.tids);
             }
         }
-    }
-
-    #[test]
-    fn non_incremental_mode_forces_full_recounts() {
-        let txns = small_dataset();
-        let spec = WindowSpec::new(Granularity::Week, 2, 1).unwrap();
-        let cfg = TemporalConfig::new(spec)
-            .with_fsg(fsg_cfg())
-            .with_incremental(false);
-        let run = run_windows(
-            &txns,
-            &BinScheme::paper_defaults(),
-            &TemporalOptions::default(),
-            &cfg,
-            &Exec::sequential(),
-        )
-        .unwrap();
-        assert_eq!(run.session.incremental_windows, 0);
-        assert_eq!(run.session.full_recounts, run.windows.len());
     }
 
     #[test]

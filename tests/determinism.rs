@@ -77,8 +77,9 @@ fn gspan_output_identical_at_any_thread_count() {
 
 /// The frozen-CSR snapshot is a pure representation change: every miner
 /// must produce byte-identical output whether it traverses the arena
-/// builder directly (`*_arena_with`) or the frozen TxnSet / FrozenGraph
-/// (the `*_with` default). Patterns, supports, TID lists, instance ids,
+/// builder directly (the generic cores `mine_source`, `mine_dfs_source`
+/// and `discover_core` over `&[Graph]` / `&Graph`) or the frozen
+/// TxnSet / FrozenGraph (the `*_with` default). Patterns, supports, TID lists, instance ids,
 /// and counters all have to line up.
 #[test]
 fn frozen_and_arena_miners_agree() {
@@ -95,7 +96,7 @@ fn frozen_and_arena_miners_agree() {
             .collect()
     };
     let frozen = mine_with(&txns, &fsg_cfg, &exec).unwrap();
-    let arena = tnet_fsg::mine_arena_with(&txns, &fsg_cfg, &exec).unwrap();
+    let arena = tnet_fsg::mine_source(&txns[..], &fsg_cfg, &exec).unwrap();
     assert_eq!(
         render_fsg(&frozen),
         render_fsg(&arena),
@@ -115,7 +116,7 @@ fn frozen_and_arena_miners_agree() {
             .collect()
     };
     let gf = mine_dfs_with(&txns, &gspan_cfg, &exec).unwrap();
-    let ga = tnet_gspan::mine_dfs_arena_with(&txns, &gspan_cfg, &exec).unwrap();
+    let ga = tnet_gspan::mine_dfs_source(&txns[..], &gspan_cfg, &exec).unwrap();
     assert_eq!(
         render_gspan(&gf),
         render_gspan(&ga),
@@ -151,7 +152,7 @@ fn frozen_and_arena_miners_agree() {
             .collect()
     };
     let sf = tnet_subdue::discover_with(&g, &sub_cfg, &exec).unwrap();
-    let sa = tnet_subdue::discover_arena_with(&g, &sub_cfg, &exec).unwrap();
+    let sa = tnet_subdue::discover_core(&g, &sub_cfg, &exec).unwrap();
     assert_eq!(
         render_sub(&sf),
         render_sub(&sa),

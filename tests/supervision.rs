@@ -152,7 +152,7 @@ fn injected_fsg_error_fails_the_temporal_section() {
     let p = report_pipeline();
     let out = p.full_report_supervised(SCALE, 42, &Exec::new(4), &SupervisorConfig::default());
     // Only the sections that propagate FSG errors fail: the §6 temporal
-    // chain and the E16 windowed sessions (Algorithm 1's partition
+    // chain and the E16 window mining (Algorithm 1's partition
     // runners treat a failed partition as yielding nothing).
     assert_eq!(out.failed, 2, "summary: {}", out.text);
     assert!(
