@@ -14,6 +14,14 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
 
+echo "== dependency gate: the tnet binary does not link the bench harness"
+# JSON and the trace export live in tnet-obs; the CLI must not pull in
+# tnet-bench to reach them.
+if cargo tree --offline -p tnet-cli -e normal | grep -q 'tnet-bench'; then
+    echo "tnet-cli depends on tnet-bench" >&2
+    exit 1
+fi
+
 echo "== fault injection: supervised report under every failpoint site"
 # Each armed site must leave the report standing: exit 0, a per-section
 # failure (or degraded) notice, and the end-of-report summary line.
@@ -133,13 +141,26 @@ code=$?
 set -e
 test "$code" -eq 1
 test "$(wc -l < /tmp/tnet_ci_nbhd_trunc.err)" -eq 1
+# ...and a 200,000-deep `[[[…]]]` file the same way: the parser's depth
+# cap turns it into a one-line error instead of a stack overflow.
+awk 'BEGIN { for (i = 0; i < 200000; i++) printf "["; \
+             for (i = 0; i < 200000; i++) printf "]" }' \
+    > /tmp/tnet_ci_nbhd_deep.json
+set +e
+"$TNET" trace --input /tmp/tnet_ci_nbhd_deep.json \
+    > /dev/null 2> /tmp/tnet_ci_nbhd_deep.err
+code=$?
+set -e
+test "$code" -eq 1
+test "$(wc -l < /tmp/tnet_ci_nbhd_deep.err)" -eq 1
 # The export satisfies the shared tnet-trace/v1 validator.
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate-trace "$NBHD_TRACE"
 rm -f "$NBHD_TRACE" /tmp/tnet_ci_nbhd.out /tmp/tnet_ci_nbhd_t1.out \
     /tmp/tnet_ci_nbhd_t2.out /tmp/tnet_ci_nbhd_t8.out \
     /tmp/tnet_ci_nbhd_sum.out /tmp/tnet_ci_nbhd_trunc.json \
-    /tmp/tnet_ci_nbhd_trunc.err
+    /tmp/tnet_ci_nbhd_trunc.err /tmp/tnet_ci_nbhd_deep.json \
+    /tmp/tnet_ci_nbhd_deep.err
 
 echo "== temporal smoke: sliding windows, flow patterns, thread invariance"
 # A sliding day-granularity run: per-window lines and the flow report
@@ -268,6 +289,10 @@ serve_rpc '{"op":"pattern","partitions":4,"support":3,"max_edges":3,"reps":1}' \
 # Malformed input gets a one-line typed error reply; the connection and
 # the daemon survive it.
 serve_rpc 'this is not json'                                 | grep -q '"kind":"protocol"'
+# A weight that overflows to infinity is refused like any malformed
+# line, never acknowledged.
+serve_rpc '{"op":"ingest","records":[{"id":1,"pickup":733000,"olat":40.1,"olon":-88.0,"dlat":41.9,"dlon":-87.6,"distance":180.0,"weight":1e309,"hours":8.0}]}' \
+                                                             | grep -q '"kind":"protocol"'
 serve_rpc '{"op":"ping"}'                                    | grep -q '"ok":true'
 # The repeated stats query must have landed in the result cache.
 serve_rpc '{"op":"trace"}' | grep -q '"serve.cache_hits":[1-9]'

@@ -28,8 +28,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use tnet_bench::harness::{bench, Timing};
-use tnet_bench::json::Json;
-use tnet_bench::obs_json;
 use tnet_core::experiments::structural::truncated_structural_graph;
 use tnet_core::pipeline::Pipeline;
 use tnet_data::binning::BinScheme;
@@ -40,6 +38,7 @@ use tnet_graph::frozen::{FrozenStats, TxnSet};
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::StdRng;
 use tnet_gspan::{mine_dfs, mine_dfs_with, GspanConfig};
+use tnet_obs::json::Json;
 use tnet_partition::single_graph::mine_single_graph;
 use tnet_partition::split::{split_graph, Strategy};
 use tnet_subdue::{discover, discover_with, SubdueConfig};
@@ -517,7 +516,7 @@ fn traced_block(default_txns: &[Graph], subdue_graph: &Graph) -> Json {
     FrozenStats::snapshot()
         .since(&frozen_before)
         .publish(&mut |name, v| registry.add(name, v));
-    obs_json::trace_to_json(&tracer.snapshot(), &registry.snapshot())
+    tnet_obs::trace_to_json(&tracer.snapshot(), &registry.snapshot())
 }
 
 /// Tracing off must cost nothing measurable: a million disabled-span
@@ -538,7 +537,7 @@ const DISABLED_SPAN_GATE_NS: f64 = 250.0;
 
 fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text)?;
+    let doc = Json::parse(&text).map_err(|e| e.to_string())?;
     let miners = doc.get("miners").ok_or("report has no 'miners' object")?;
     for miner in ["fsg", "gspan", "subdue"] {
         match miners.get(miner) {
@@ -547,7 +546,7 @@ fn validate(path: &str) -> Result<(), String> {
         }
     }
     let trace = doc.get("trace").ok_or("report has no 'trace' block")?;
-    obs_json::validate_trace(trace).map_err(|e| format!("trace block: {e}"))?;
+    tnet_obs::validate_trace(trace).map_err(|e| format!("trace block: {e}"))?;
     // Frozen-graph and data-layout counters must flow through the
     // unified namespace.
     let metrics = trace.get("metrics").ok_or("trace block has no 'metrics'")?;
@@ -667,9 +666,9 @@ fn validate(path: &str) -> Result<(), String> {
 
 fn validate_trace_file(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text)?;
-    obs_json::validate_trace(&doc)?;
-    println!("{path}: valid {} document", obs_json::TRACE_SCHEMA);
+    let doc = Json::parse(&text).map_err(|e| e.to_string())?;
+    tnet_obs::validate_trace(&doc)?;
+    println!("{path}: valid {} document", tnet_obs::TRACE_SCHEMA);
     Ok(())
 }
 

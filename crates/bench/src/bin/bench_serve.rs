@@ -35,7 +35,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use tnet_bench::json::Json;
+use tnet_obs::json::Json;
 use tnet_obs::MetricsRegistry;
 use tnet_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, WriterConfig};
 
@@ -529,7 +529,7 @@ fn metric(metrics: &[(String, u64)], name: &str) -> u64 {
 
 fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text)?;
+    let doc = Json::parse(&text).map_err(|e| e.to_string())?;
     match doc.get("schema") {
         Some(Json::Str(s)) if s == "tnet-bench-serve/v2" => {}
         other => return Err(format!("bad schema field: {other:?}")),

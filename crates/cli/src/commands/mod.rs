@@ -69,7 +69,7 @@ impl ObsContext {
         println!("--- metrics ---");
         print!("{}", self.registry.render());
         if let Some(path) = &self.json_path {
-            let doc = tnet_bench::obs_json::trace_to_json(&snapshot, &self.registry.snapshot());
+            let doc = tnet_obs::trace_to_json(&snapshot, &self.registry.snapshot());
             std::fs::write(path, doc.pretty())
                 .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
             println!("trace json written to {path}");

@@ -129,8 +129,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             println!("--- metrics ---");
             print!("{}", handle.registry().render());
             if let Some(path) = args.get("trace-json") {
-                let doc =
-                    tnet_bench::obs_json::trace_to_json(&snapshot, &handle.registry().snapshot());
+                let doc = tnet_obs::trace_to_json(&snapshot, &handle.registry().snapshot());
                 std::fs::write(path, doc.pretty())
                     .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
                 println!("trace json written to {path}");

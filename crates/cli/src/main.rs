@@ -115,6 +115,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tnet_obs::json::Json;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -160,21 +161,18 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let doc = tnet_bench::json::Json::parse(&text).unwrap();
-        tnet_bench::obs_json::validate_trace(&doc).unwrap();
+        let doc = Json::parse(&text).unwrap();
+        tnet_obs::validate_trace(&doc).unwrap();
         let root = doc.get("root").unwrap();
-        assert_eq!(
-            root.get("label"),
-            Some(&tnet_bench::json::Json::Str("mine".into()))
-        );
+        assert_eq!(root.get("label"), Some(&Json::Str("mine".into())));
         let children = match root.get("children") {
-            Some(tnet_bench::json::Json::Arr(c)) => c,
+            Some(Json::Arr(c)) => c,
             other => panic!("children not an array: {other:?}"),
         };
         let labels: Vec<&str> = children
             .iter()
             .filter_map(|c| match c.get("label") {
-                Some(tnet_bench::json::Json::Str(s)) => Some(s.as_str()),
+                Some(Json::Str(s)) => Some(s.as_str()),
                 _ => None,
             })
             .collect();
@@ -194,7 +192,7 @@ mod tests {
         );
         // The registry absorbed miner and pool counters.
         let metrics = match doc.get("metrics") {
-            Some(tnet_bench::json::Json::Obj(m)) => m,
+            Some(Json::Obj(m)) => m,
             other => panic!("metrics not an object: {other:?}"),
         };
         assert!(metrics.contains_key("fsg.iso_tests"), "{metrics:?}");

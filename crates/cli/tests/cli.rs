@@ -215,3 +215,76 @@ fn bad_option_reports_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
 }
+
+/// A pathologically nested `--input` document is refused by the shared
+/// parser's depth cap — exit 1, one stderr line — instead of
+/// overflowing the stack.
+#[test]
+fn deeply_nested_trace_is_a_one_line_runtime_error() {
+    let dir = std::env::temp_dir().join(format!("tnet_cli_deep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    std::fs::write(
+        &path,
+        format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+    )
+    .unwrap();
+    let out = tnet()
+        .args(["trace", "--input", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "one-line stderr, got:\n{err}");
+    assert!(err.contains("nested deeper"), "{err}");
+}
+
+/// A span label needing every kind of escape survives the writer, the
+/// parser, the validator, and `tnet trace` unchanged.
+#[test]
+fn escaped_span_label_round_trips_through_tnet_trace() {
+    use tnet_obs::json::Json;
+    let label = "a\"b\\c\nd\u{1}é";
+    let tracer = tnet_obs::Tracer::new("mine");
+    {
+        let total = tracer.root().timer();
+        let _phase = total.span().time(label);
+    }
+    let doc = tnet_obs::trace_to_json(&tracer.snapshot(), &Default::default());
+    let text = doc.pretty();
+    let back = Json::parse(&text).unwrap();
+    assert_eq!(back, doc);
+    tnet_obs::validate_trace(&back).unwrap();
+    let child = &back.get("root").and_then(|r| r.get("children")).unwrap();
+    let Json::Arr(children) = child else {
+        panic!("children not an array: {child:?}");
+    };
+    assert_eq!(children[0].get("label"), Some(&Json::Str(label.into())));
+
+    let dir = std::env::temp_dir().join(format!("tnet_cli_label_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.json");
+    std::fs::write(&path, &text).unwrap();
+    let summary = run_ok(&["trace", "--input", path.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(summary.contains(label), "{summary}");
+}
+
+/// JSON has no infinities or NaN: the writer emits `null` for them, so
+/// whatever it writes parses back.
+#[test]
+fn json_writer_emits_null_for_non_finite_numbers() {
+    use tnet_obs::json::Json;
+    let doc = Json::obj([
+        ("inf", Json::Num(f64::INFINITY)),
+        ("nan", Json::Num(f64::NAN)),
+        ("neg_inf", Json::Num(f64::NEG_INFINITY)),
+    ]);
+    let text = doc.pretty();
+    assert_eq!(
+        text,
+        "{\n  \"inf\": null,\n  \"nan\": null,\n  \"neg_inf\": null\n}\n"
+    );
+    assert!(Json::parse(&text).is_ok());
+}

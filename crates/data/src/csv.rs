@@ -4,7 +4,7 @@
 //! parser: the format is fixed, all fields are numeric or a two-value
 //! enum, and no quoting/escaping is ever needed.
 
-use crate::model::{Date, LatLon, TransMode, Transaction};
+use crate::model::{Date, RawTransaction, TransMode, Transaction};
 use std::io::{self, BufRead, Write};
 
 /// The CSV header row (Table 1 column names).
@@ -53,11 +53,10 @@ impl std::error::Error for CsvError {}
 /// Reads transactions from CSV produced by [`write_csv`] (header
 /// required).
 ///
-/// Every numeric field is validated, not just parsed: non-finite
-/// lat/lon/distance/weight/hours, negative distance/weight/transit
-/// hours, and `req_delivery < req_pickup` are all rejected with the
-/// offending 1-based line number. (Unvalidated, a NaN weight would
-/// parse cleanly and poison every downstream bin boundary.)
+/// Every record is validated, not just parsed, by
+/// [`RawTransaction::validate`] (the same checks the serve protocol's
+/// `ingest` applies); a rejection carries the offending 1-based line
+/// number.
 pub fn read_csv(r: impl BufRead) -> Result<Vec<Transaction>, CsvError> {
     let mut txns = Vec::new();
     for (i, line) in r.lines().enumerate() {
@@ -96,50 +95,23 @@ pub fn read_csv(r: impl BufRead) -> Result<Vec<Transaction>, CsvError> {
             line: lineno,
             message: m.to_string(),
         };
-        // Coordinates must be finite (a NaN would silently coarsen to
-        // 0.0°); magnitudes must additionally be non-negative.
-        let parse_finite = |s: &str, name: &str| -> Result<f64, CsvError> {
-            let v = s
+        let num = |i: usize, name: &str| -> Result<f64, CsvError> {
+            fields[i]
                 .parse::<f64>()
-                .map_err(|_| err(&format!("bad {name}: {s}")))?;
-            if !v.is_finite() {
-                return Err(err(&format!("non-finite {name}: {s}")));
-            }
-            Ok(v)
+                .map_err(|_| err(&format!("bad {name}: {}", fields[i])))
         };
-        let parse_magnitude = |s: &str, name: &str| -> Result<f64, CsvError> {
-            let v = parse_finite(s, name)?;
-            if v < 0.0 {
-                return Err(err(&format!("negative {name}: {s}")));
-            }
-            Ok(v)
-        };
-        let req_pickup = Date(fields[1].parse().map_err(|_| err("bad pickup date"))?);
-        let req_delivery = Date(fields[2].parse().map_err(|_| err("bad delivery date"))?);
-        if req_delivery < req_pickup {
-            return Err(err(&format!(
-                "requested delivery (day {}) precedes requested pickup (day {})",
-                req_delivery.day(),
-                req_pickup.day()
-            )));
-        }
-        txns.push(Transaction {
+        let raw = RawTransaction {
             id: fields[0].parse().map_err(|_| err("bad ID"))?,
-            req_pickup,
-            req_delivery,
-            origin: LatLon::new(
-                parse_finite(fields[3], "origin latitude")?,
-                parse_finite(fields[4], "origin longitude")?,
-            ),
-            dest: LatLon::new(
-                parse_finite(fields[5], "dest latitude")?,
-                parse_finite(fields[6], "dest longitude")?,
-            ),
-            total_distance: parse_magnitude(fields[7], "distance")?,
-            gross_weight: parse_magnitude(fields[8], "weight")?,
-            transit_hours: parse_magnitude(fields[9], "transit hours")?,
+            req_pickup: Date(fields[1].parse().map_err(|_| err("bad pickup date"))?),
+            req_delivery: Date(fields[2].parse().map_err(|_| err("bad delivery date"))?),
+            origin: (num(3, "origin latitude")?, num(4, "origin longitude")?),
+            dest: (num(5, "dest latitude")?, num(6, "dest longitude")?),
+            total_distance: num(7, "distance")?,
+            gross_weight: num(8, "weight")?,
+            transit_hours: num(9, "transit hours")?,
             mode: TransMode::parse(fields[10]).ok_or_else(|| err("bad mode"))?,
-        });
+        };
+        txns.push(raw.validate().map_err(|m| err(&m))?);
     }
     Ok(txns)
 }
@@ -147,6 +119,7 @@ pub fn read_csv(r: impl BufRead) -> Result<Vec<Transaction>, CsvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::LatLon;
 
     fn sample() -> Vec<Transaction> {
         vec![

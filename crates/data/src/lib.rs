@@ -30,7 +30,7 @@ pub mod stats;
 pub mod synth;
 
 pub use binning::{BinFitError, BinScheme, Binner};
-pub use model::{Date, LatLon, TransMode, Transaction};
+pub use model::{Date, LatLon, RawTransaction, TransMode, Transaction};
 pub use od_graph::{build_od_graph, EdgeLabeling, OdGraph, VertexLabeling};
 pub use stats::{dataset_stats, DatasetStats};
 pub use synth::{generate, try_generate, Dataset, SynthConfig, SynthConfigError};

@@ -176,6 +176,71 @@ pub struct Transaction {
     pub mode: TransMode,
 }
 
+/// One transaction as it arrives (a CSV row or a wire `ingest` record),
+/// before validation and 0.1-degree coarsening.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RawTransaction {
+    pub id: u64,
+    pub req_pickup: Date,
+    pub req_delivery: Date,
+    /// Origin (latitude, longitude) in degrees.
+    pub origin: (f64, f64),
+    /// Destination (latitude, longitude) in degrees.
+    pub dest: (f64, f64),
+    pub total_distance: f64,
+    pub gross_weight: f64,
+    pub transit_hours: f64,
+    pub mode: TransMode,
+}
+
+impl RawTransaction {
+    /// The per-record checks every ingest path shares: delivery no
+    /// earlier than pickup, finite coordinates (a NaN would silently
+    /// coarsen to 0.0°), and finite, non-negative distance, weight, and
+    /// transit hours. Unvalidated, a NaN or infinite weight parses
+    /// cleanly and poisons every downstream bin boundary.
+    pub fn validate(self) -> Result<Transaction, String> {
+        if self.req_delivery < self.req_pickup {
+            return Err(format!(
+                "requested delivery (day {}) precedes requested pickup (day {})",
+                self.req_delivery.day(),
+                self.req_pickup.day()
+            ));
+        }
+        let finite = |v: f64, name: &str| {
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(format!("non-finite {name}: {v}"))
+            }
+        };
+        let magnitude = |v: f64, name: &str| {
+            let v = finite(v, name)?;
+            if v < 0.0 {
+                return Err(format!("negative {name}: {v}"));
+            }
+            Ok(v)
+        };
+        Ok(Transaction {
+            id: self.id,
+            req_pickup: self.req_pickup,
+            req_delivery: self.req_delivery,
+            origin: LatLon::new(
+                finite(self.origin.0, "origin latitude")?,
+                finite(self.origin.1, "origin longitude")?,
+            ),
+            dest: LatLon::new(
+                finite(self.dest.0, "dest latitude")?,
+                finite(self.dest.1, "dest longitude")?,
+            ),
+            total_distance: magnitude(self.total_distance, "distance")?,
+            gross_weight: magnitude(self.gross_weight, "weight")?,
+            transit_hours: magnitude(self.transit_hours, "transit hours")?,
+            mode: self.mode,
+        })
+    }
+}
+
 impl Transaction {
     /// The (origin, destination) key identifying this OD pair.
     pub fn od_pair(&self) -> (LatLon, LatLon) {

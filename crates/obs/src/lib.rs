@@ -1,6 +1,6 @@
 //! `tnet-obs` — structured tracing and metrics for the tnet pipeline.
 //!
-//! Two pieces, both std-only and dependency-free:
+//! Three pieces, all std-only and dependency-free:
 //!
 //! - [`Tracer`]/[`Span`]: a wall-clock span tree with RAII phase timers,
 //!   answering "where did the time go" for a run (ingest → binning →
@@ -8,8 +8,11 @@
 //! - [`MetricsRegistry`]: one named-counter namespace absorbing the
 //!   per-layer counter structs (`exec.*`, `fsg.*`, `gspan.*`,
 //!   `subdue.*`), answering "what did the run do".
+//! - [`json`]: the workspace's one JSON value type, parser, and writer,
+//!   plus the `tnet-trace/v1` export of the two above
+//!   ([`trace_to_json`], [`trace_from_json`]).
 //!
-//! Both ride on the `tnet_exec::Exec` handle (see `Exec::with_obs`), so
+//! The tracer and the registry ride on the `tnet_exec::Exec` handle (see `Exec::with_obs`), so
 //! every layer that already takes an execution handle is traced without
 //! new plumbing. Disabled (the default), a span is an empty handle and
 //! costs one branch per phase boundary; the registry is only touched at
@@ -17,9 +20,12 @@
 //! scheme, and the `tnet-trace/v1` JSON schema.
 
 mod histogram;
+pub mod json;
 mod metrics;
 mod span;
+mod trace_json;
 
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use metrics::MetricsRegistry;
 pub use span::{Span, SpanNode, Timed, Tracer};
+pub use trace_json::{trace_from_json, trace_to_json, validate_trace, TRACE_SCHEMA};

@@ -1,8 +1,8 @@
-//! Trace export (`tnet-trace/v1`): converts a [`tnet_obs`] span-tree
-//! snapshot plus a metrics snapshot into the bench crate's [`Json`]
-//! value, and validates such documents on the way back in. The CLI's
-//! `--trace-json` and `bench_miners`' embedded trace block both emit
-//! this schema, so one validator covers both (see DESIGN.md §10).
+//! Trace export (`tnet-trace/v1`): converts a span-tree snapshot plus a
+//! metrics snapshot into a [`Json`] value, and reads such documents
+//! back, schema-checked. The CLI's `--trace-json`, `tnet trace`, and
+//! `bench_miners`' embedded trace block all use this schema, so one
+//! validator covers them (see DESIGN.md §10).
 //!
 //! Document shape:
 //!
@@ -16,8 +16,8 @@
 //! ```
 
 use crate::json::Json;
+use crate::SpanNode;
 use std::collections::BTreeMap;
-use tnet_obs::SpanNode;
 
 /// Schema tag written into (and required from) every trace document.
 pub const TRACE_SCHEMA: &str = "tnet-trace/v1";
@@ -52,11 +52,13 @@ fn span_to_json(node: &SpanNode) -> Json {
     ])
 }
 
-/// Checks a parsed document against the `tnet-trace/v1` schema: the
-/// schema tag, a well-formed span tree under `root` (every node carries
-/// a string label and non-negative integer `nanos`/`count`), and a
-/// `metrics` object of non-negative integers.
-pub fn validate_trace(doc: &Json) -> Result<(), String> {
+/// Reads a parsed `tnet-trace/v1` document back into its span tree and
+/// metrics, checking the schema on the way: the schema tag, a `metrics`
+/// object of non-negative integers, and a span tree under `root` whose
+/// every node carries a string label, non-negative integer
+/// `nanos`/`count`, and a `children` array. Recursion depth is bounded
+/// by the parser's nesting cap.
+pub fn trace_from_json(doc: &Json) -> Result<(SpanNode, BTreeMap<String, u64>), String> {
     match doc.get("schema") {
         Some(Json::Str(s)) if s == TRACE_SCHEMA => {}
         Some(Json::Str(s)) => {
@@ -64,50 +66,65 @@ pub fn validate_trace(doc: &Json) -> Result<(), String> {
         }
         _ => return Err("missing 'schema' string".into()),
     }
-    match doc.get("metrics") {
-        Some(Json::Obj(m)) => {
-            for (name, value) in m {
-                if !is_counter(value) {
-                    return Err(format!("metric '{name}' is not a non-negative integer"));
-                }
-            }
-        }
+    let metrics = match doc.get("metrics") {
+        Some(Json::Obj(m)) => m
+            .iter()
+            .map(|(name, v)| {
+                let n = counter(v)
+                    .ok_or_else(|| format!("metric '{name}' is not a non-negative integer"))?;
+                Ok((name.clone(), n))
+            })
+            .collect::<Result<_, String>>()?,
         _ => return Err("missing 'metrics' object".into()),
+    };
+    let root = span_from_json(doc.get("root").ok_or("missing 'root' span")?, "root")?;
+    Ok((root, metrics))
+}
+
+/// Checks a parsed document against the `tnet-trace/v1` schema (see
+/// [`trace_from_json`]).
+pub fn validate_trace(doc: &Json) -> Result<(), String> {
+    trace_from_json(doc).map(|_| ())
+}
+
+fn counter(v: &Json) -> Option<u64> {
+    match v {
+        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+        _ => None,
     }
-    let root = doc.get("root").ok_or("missing 'root' span")?;
-    validate_span(root, "root")
 }
 
-fn is_counter(v: &Json) -> bool {
-    matches!(v, Json::Num(n) if *n >= 0.0 && n.fract() == 0.0)
-}
-
-fn validate_span(node: &Json, path: &str) -> Result<(), String> {
-    match node.get("label") {
-        Some(Json::Str(_)) => {}
+fn span_from_json(node: &Json, path: &str) -> Result<SpanNode, String> {
+    let label = match node.get("label") {
+        Some(Json::Str(s)) => s.clone(),
         _ => return Err(format!("{path}: missing 'label' string")),
-    }
-    for key in ["nanos", "count"] {
-        match node.get(key) {
-            Some(v) if is_counter(v) => {}
-            _ => return Err(format!("{path}: '{key}' is not a non-negative integer")),
-        }
-    }
-    match node.get("children") {
-        Some(Json::Arr(children)) => {
-            for (i, child) in children.iter().enumerate() {
-                validate_span(child, &format!("{path}.children[{i}]"))?;
-            }
-            Ok(())
-        }
-        _ => Err(format!("{path}: missing 'children' array")),
-    }
+    };
+    let field = |key: &str| {
+        node.get(key)
+            .and_then(counter)
+            .ok_or_else(|| format!("{path}: '{key}' is not a non-negative integer"))
+    };
+    let (nanos, count) = (field("nanos")?, field("count")?);
+    let children = match node.get("children") {
+        Some(Json::Arr(children)) => children
+            .iter()
+            .enumerate()
+            .map(|(i, c)| span_from_json(c, &format!("{path}.children[{i}]")))
+            .collect::<Result<_, _>>()?,
+        _ => return Err(format!("{path}: missing 'children' array")),
+    };
+    Ok(SpanNode {
+        label,
+        nanos,
+        count,
+        children,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnet_obs::Tracer;
+    use crate::Tracer;
 
     fn sample_trace() -> Json {
         let t = Tracer::new("mine");
@@ -122,12 +139,13 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_the_bench_parser() {
+    fn round_trips_through_the_parser() {
         let doc = sample_trace();
         let text = doc.pretty();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back, doc);
-        validate_trace(&back).unwrap();
+        let (root, metrics) = trace_from_json(&back).unwrap();
+        assert_eq!(trace_to_json(&root, &metrics), doc);
     }
 
     #[test]

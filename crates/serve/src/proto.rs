@@ -4,31 +4,29 @@
 //! JSON object with an `"ok"` boolean; errors carry the
 //! [`tnet_core::error::PipelineError`] taxonomy as
 //! `{"ok":false,"error":{"kind":...,"message":...}}` so clients can
-//! dispatch on the stable `kind` tag. The parser is hand-rolled
-//! recursive descent over the subset of JSON the protocol needs
-//! (objects, arrays, strings, numbers, booleans, null), with a depth
-//! cap so a hostile request can't recurse the connection thread's
-//! stack. Schema reference: DESIGN.md §12.
+//! dispatch on the stable `kind` tag. Lines are parsed by the shared
+//! [`tnet_obs::json`] parser, whose depth cap keeps a hostile request
+//! from recursing the connection thread's stack and which rejects
+//! duplicate keys and non-finite numbers. Schema reference: DESIGN.md
+//! §12.
 //!
 //! Parsing also produces the **canonical query form** used as the cache
 //! key: fixed field order, defaults filled in, whitespace-free — so
 //! `{"op":"pattern","support":5}` and a field-reordered,
 //! default-spelled-out equivalent hit the same cache entry.
 
+use std::collections::BTreeMap;
 use tnet_core::error::PipelineError;
-use tnet_data::model::{Date, LatLon, TransMode, Transaction};
+use tnet_data::model::{Date, RawTransaction, TransMode, Transaction};
 use tnet_data::od_graph::EdgeLabeling;
 use tnet_graph::graph::ELabel;
+use tnet_obs::json::{quote, Json};
 use tnet_partition::split::Strategy;
 
 /// Longest accepted request line, in bytes. Anything longer gets a
 /// typed `protocol` error reply and the rest of the line is discarded;
 /// the connection survives.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// Deepest accepted JSON nesting (`ingest` needs 3: object → array →
-/// record object).
-const MAX_DEPTH: usize = 8;
 
 /// A parsed request.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,247 +99,20 @@ impl Request {
     }
 }
 
-/// The JSON subset the protocol speaks.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JVal {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn type_name(&self) -> &'static str {
-        match self {
-            JVal::Null => "null",
-            JVal::Bool(_) => "bool",
-            JVal::Num(_) => "number",
-            JVal::Str(_) => "string",
-            JVal::Arr(_) => "array",
-            JVal::Obj(_) => "object",
-        }
-    }
-}
-
 fn perr(message: impl Into<String>) -> PipelineError {
     PipelineError::Protocol {
         message: message.into(),
     }
 }
 
-// ---------------------------------------------------------------- parser
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), PipelineError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(perr(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JVal, PipelineError> {
-        if depth > MAX_DEPTH {
-            return Err(perr("request JSON nested too deeply"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.keyword("true", JVal::Bool(true)),
-            Some(b'f') => self.keyword("false", JVal::Bool(false)),
-            Some(b'n') => self.keyword("null", JVal::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(perr(format!(
-                "unexpected byte `{}` at {}",
-                b as char, self.pos
-            ))),
-            None => Err(perr("unexpected end of request")),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, val: JVal) -> Result<JVal, PipelineError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(perr(format!("bad literal at byte {}", self.pos)))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, PipelineError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| perr("non-utf8 number"))?;
-        text.parse::<f64>()
-            .map(JVal::Num)
-            .map_err(|_| perr(format!("bad number `{text}`")))
-    }
-
-    fn string(&mut self) -> Result<String, PipelineError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(perr("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| perr("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| perr("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| perr("non-utf8 \\u escape"))?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| perr("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are replaced rather than paired;
-                            // the protocol never needs astral characters.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(perr(format!("bad escape `\\{}`", other as char))),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| perr("request is not valid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JVal, PipelineError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return Err(perr("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JVal, PipelineError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return Err(perr("expected `,` or `}` in object")),
-            }
-        }
-    }
-}
-
-/// Parses one line into the protocol's JSON subset. Trailing
-/// non-whitespace after the value is an error.
-pub fn parse_json(line: &str) -> Result<JVal, PipelineError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(perr(format!("trailing bytes after value at {}", p.pos)));
-    }
-    Ok(v)
-}
-
 // ----------------------------------------------------------- extraction
 
-fn get<'v>(fields: &'v [(String, JVal)], key: &str) -> Option<&'v JVal> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
+type Fields = BTreeMap<String, Json>;
 
-fn usize_field(
-    fields: &[(String, JVal)],
-    key: &str,
-    default: usize,
-) -> Result<usize, PipelineError> {
-    match get(fields, key) {
+fn usize_field(fields: &Fields, key: &str, default: usize) -> Result<usize, PipelineError> {
+    match fields.get(key) {
         None => Ok(default),
-        Some(JVal::Num(n)) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
+        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
             Ok(*n as usize)
         }
         Some(v) => Err(perr(format!(
@@ -351,9 +122,9 @@ fn usize_field(
     }
 }
 
-fn num_field(fields: &[(String, JVal)], key: &str) -> Result<f64, PipelineError> {
-    match get(fields, key) {
-        Some(JVal::Num(n)) => Ok(*n),
+fn num_field(fields: &Fields, key: &str) -> Result<f64, PipelineError> {
+    match fields.get(key) {
+        Some(Json::Num(n)) => Ok(*n),
         Some(v) => Err(perr(format!(
             "field `{key}` must be a number, got {}",
             v.type_name()
@@ -362,9 +133,9 @@ fn num_field(fields: &[(String, JVal)], key: &str) -> Result<f64, PipelineError>
     }
 }
 
-fn str_field<'v>(fields: &'v [(String, JVal)], key: &str) -> Result<&'v str, PipelineError> {
-    match get(fields, key) {
-        Some(JVal::Str(s)) => Ok(s),
+fn str_field<'v>(fields: &'v Fields, key: &str) -> Result<&'v str, PipelineError> {
+    match fields.get(key) {
+        Some(Json::Str(s)) => Ok(s),
         Some(v) => Err(perr(format!(
             "field `{key}` must be a string, got {}",
             v.type_name()
@@ -373,10 +144,10 @@ fn str_field<'v>(fields: &'v [(String, JVal)], key: &str) -> Result<&'v str, Pip
     }
 }
 
-fn labeling_field(fields: &[(String, JVal)]) -> Result<EdgeLabeling, PipelineError> {
-    match get(fields, "labeling") {
+fn labeling_field(fields: &Fields) -> Result<EdgeLabeling, PipelineError> {
+    match fields.get("labeling") {
         None => Ok(EdgeLabeling::GrossWeight),
-        Some(JVal::Str(s)) => match s.as_str() {
+        Some(Json::Str(s)) => match s.as_str() {
             "gw" | "weight" => Ok(EdgeLabeling::GrossWeight),
             "th" | "hours" => Ok(EdgeLabeling::TransitHours),
             "td" | "distance" => Ok(EdgeLabeling::TotalDistance),
@@ -391,10 +162,10 @@ fn labeling_field(fields: &[(String, JVal)]) -> Result<EdgeLabeling, PipelineErr
     }
 }
 
-fn record_field(fields: &[(String, JVal)]) -> Result<Transaction, PipelineError> {
-    let mode = match get(fields, "mode") {
+fn record_field(fields: &Fields) -> Result<Transaction, PipelineError> {
+    let mode = match fields.get("mode") {
         None => TransMode::Truckload,
-        Some(JVal::Str(s)) => TransMode::parse(s)
+        Some(Json::Str(s)) => TransMode::parse(s)
             .ok_or_else(|| perr(format!("unknown mode `{s}` (use TL or LTL)")))?,
         Some(v) => {
             return Err(perr(format!(
@@ -408,9 +179,9 @@ fn record_field(fields: &[(String, JVal)]) -> Result<Transaction, PipelineError>
         return Err(perr("field `pickup` must be a whole day number"));
     }
     let pickup = Date(day as u32);
-    let delivery = match get(fields, "delivery") {
+    let delivery = match fields.get("delivery") {
         None => pickup,
-        Some(JVal::Num(n)) if (0.0..=u32::MAX as f64).contains(n) && n.fract() == 0.0 => {
+        Some(Json::Num(n)) if (0.0..=u32::MAX as f64).contains(n) && n.fract() == 0.0 => {
             Date(*n as u32)
         }
         Some(_) => return Err(perr("field `delivery` must be a whole day number")),
@@ -419,17 +190,21 @@ fn record_field(fields: &[(String, JVal)]) -> Result<Transaction, PipelineError>
     if !(0.0..=u64::MAX as f64).contains(&id) || id.fract() != 0.0 {
         return Err(perr("field `id` must be a non-negative integer"));
     }
-    Ok(Transaction {
+    // The same checks CSV ingest applies, so a record the daemon
+    // acknowledges (and logs to the WAL) is one recovery can replay.
+    RawTransaction {
         id: id as u64,
         req_pickup: pickup,
         req_delivery: delivery,
-        origin: LatLon::new(num_field(fields, "olat")?, num_field(fields, "olon")?),
-        dest: LatLon::new(num_field(fields, "dlat")?, num_field(fields, "dlon")?),
+        origin: (num_field(fields, "olat")?, num_field(fields, "olon")?),
+        dest: (num_field(fields, "dlat")?, num_field(fields, "dlon")?),
         total_distance: num_field(fields, "distance")?,
         gross_weight: num_field(fields, "weight")?,
         transit_hours: num_field(fields, "hours")?,
         mode,
-    })
+    }
+    .validate()
+    .map_err(perr)
 }
 
 /// Parses one request line. All protocol violations come back as
@@ -442,7 +217,8 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
             line.len()
         )));
     }
-    let JVal::Obj(fields) = parse_json(line)? else {
+    let parsed = Json::parse(line).map_err(|e| perr(e.to_string()))?;
+    let Json::Obj(fields) = parsed else {
         return Err(perr("request must be a JSON object"));
     };
     match str_field(&fields, "op")? {
@@ -451,11 +227,11 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
         "trace" => Ok(Request::Trace),
         "shutdown" => Ok(Request::Shutdown),
         "support" => {
-            let labels = match get(&fields, "labels") {
-                Some(JVal::Arr(items)) => items
+            let labels = match fields.get("labels") {
+                Some(Json::Arr(items)) => items
                     .iter()
                     .map(|v| match v {
-                        JVal::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
+                        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
                             Ok(ELabel(*n as u32))
                         }
                         other => Err(perr(format!(
@@ -478,9 +254,9 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
             })
         }
         "pattern" => {
-            let strategy = match get(&fields, "strategy") {
+            let strategy = match fields.get("strategy") {
                 None => Strategy::BreadthFirst,
-                Some(JVal::Str(s)) => match s.as_str() {
+                Some(Json::Str(s)) => match s.as_str() {
                     "bf" | "breadth" => Strategy::BreadthFirst,
                     "df" | "depth" => Strategy::DepthFirst,
                     other => return Err(perr(format!("unknown strategy `{other}` (bf|df)"))),
@@ -507,11 +283,11 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
             })
         }
         "ingest" => {
-            let records = match get(&fields, "records") {
-                Some(JVal::Arr(items)) => items
+            let records = match fields.get("records") {
+                Some(Json::Arr(items)) => items
                     .iter()
                     .map(|v| match v {
-                        JVal::Obj(rec) => record_field(rec),
+                        Json::Obj(rec) => record_field(rec),
                         other => Err(perr(format!(
                             "`records` entries must be objects, got {}",
                             other.type_name()
@@ -529,11 +305,11 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
             Ok(Request::Ingest { records })
         }
         "delete" => {
-            let ids = match get(&fields, "ids") {
-                Some(JVal::Arr(items)) => items
+            let ids = match fields.get("ids") {
+                Some(Json::Arr(items)) => items
                     .iter()
                     .map(|v| match v {
-                        JVal::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
+                        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
                         other => Err(perr(format!(
                             "`ids` entries must be transaction ids, got {}",
                             other.type_name()
@@ -556,37 +332,19 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
 
 // ---------------------------------------------------------- serialization
 
-/// JSON-escapes `s` and wraps it in quotes.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The one-line error reply for `err`.
 pub fn error_reply(err: &PipelineError) -> String {
     format!(
         "{{\"ok\":false,\"error\":{{\"kind\":{},\"message\":{}}}}}",
-        json_string(err.kind()),
-        json_string(&err.to_string())
+        quote(err.kind()),
+        quote(&err.to_string())
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tnet_obs::json::MAX_DEPTH;
 
     #[test]
     fn parses_simple_ops() {
@@ -698,6 +456,30 @@ mod tests {
         }
     }
 
+    /// Ingest records get the CSV reader's checks, and the shared
+    /// parser's duplicate-key and overflow rules apply to every line.
+    #[test]
+    fn invalid_ingest_records_and_ambiguous_lines_are_rejected() {
+        let record = |extra: &str| {
+            format!(
+                r#"{{"op":"ingest","records":[{{"id":7,"pickup":733000,"olat":33.7,"olon":-84.4,"dlat":35.1,"dlon":-90.0,"distance":380.5,"hours":9.5,{extra}}}]}}"#
+            )
+        };
+        assert!(parse_request(&record(r#""weight":25000.0"#)).is_ok());
+        for (extra, want) in [
+            (r#""weight":1e309"#, "infinity"),
+            (r#""weight":-1"#, "negative weight"),
+            (r#""weight":1,"delivery":732999"#, "precedes"),
+            (r#""weight":1,"weight":2"#, "duplicate key"),
+        ] {
+            let err = parse_request(&record(extra)).unwrap_err();
+            assert_eq!(err.kind(), "protocol", "{extra}");
+            assert!(err.to_string().contains(want), "{extra}: {err}");
+        }
+        let err = parse_request(r#"{"op":"ping","op":"shutdown"}"#).unwrap_err();
+        assert_eq!(err.kind(), "protocol");
+    }
+
     #[test]
     fn deep_nesting_is_rejected() {
         let line = format!(r#"{{"op":{}1{}}}"#, "[".repeat(40), "]".repeat(40));
@@ -713,18 +495,19 @@ mod tests {
         assert!(!reply.contains('\n'), "reply must stay one line");
         assert!(reply.starts_with(r#"{"ok":false,"error":{"kind":"protocol""#));
         assert!(reply.contains("\\n"), "newlines escaped, not emitted");
-        let JVal::Obj(o) = parse_json(&reply).unwrap() else {
-            panic!()
-        };
-        assert_eq!(get(&o, "ok"), Some(&JVal::Bool(false)));
+        let o = Json::parse(&reply).unwrap();
+        assert_eq!(o.get("ok"), Some(&Json::Bool(false)));
     }
 
     #[test]
     fn string_escapes_round_trip() {
-        let v = parse_json(r#""a\"b\\c\ndA""#).unwrap();
-        assert_eq!(v, JVal::Str("a\"b\\c\ndA".to_string()));
-        let s = json_string("a\"b\\c\nd");
-        assert_eq!(parse_json(&s).unwrap(), JVal::Str("a\"b\\c\nd".to_string()));
+        let v = Json::parse(r#""a\"b\\c\ndA""#).unwrap();
+        assert_eq!(v, Json::Str("a\"b\\c\ndA".to_string()));
+        let s = quote("a\"b\\c\nd");
+        assert_eq!(
+            Json::parse(&s).unwrap(),
+            Json::Str("a\"b\\c\nd".to_string())
+        );
     }
 
     /// Checks the never-panic contract for one line and, on failure,
@@ -733,10 +516,8 @@ mod tests {
         if let Err(e) = parse_request(line) {
             let reply = error_reply(&e);
             assert!(!reply.contains('\n'), "multi-line error reply for {line:?}");
-            let JVal::Obj(o) = parse_json(&reply).expect("error reply re-parses") else {
-                panic!("error reply not an object for {line:?}");
-            };
-            assert_eq!(get(&o, "ok"), Some(&JVal::Bool(false)));
+            let o = Json::parse(&reply).expect("error reply re-parses");
+            assert_eq!(o.get("ok"), Some(&Json::Bool(false)), "for {line:?}");
         }
     }
 

@@ -9,7 +9,7 @@
 //! formatting — they embed it.
 
 use crate::generation::Generation;
-use crate::proto::{json_string, Request};
+use crate::proto::Request;
 use tnet_core::error::PipelineError;
 use tnet_core::patterns::{classify, interestingness};
 use tnet_data::stats::dataset_stats;
@@ -17,6 +17,7 @@ use tnet_exec::Exec;
 use tnet_fsg::{mine_with, FsgConfig, Support};
 use tnet_graph::traverse::count_label_walks;
 use tnet_graph::view::GraphView;
+use tnet_obs::json::quote;
 use tnet_partition::single_graph::mine_single_graph;
 
 /// Executes a cacheable query (`stats` / `support` / `pattern`) and
@@ -32,7 +33,7 @@ pub fn execute(gen: &Generation, req: &Request, exec: &Exec) -> Result<String, P
                 "{{\"ok\":true,\"op\":\"support\",\"generation\":{},\"labeling\":{},\
                  \"count\":{count},\"vertices\":{},\"edges\":{}}}",
                 gen.id,
-                json_string(labeling.name()),
+                quote(labeling.name()),
                 lg.frozen.vertex_count(),
                 lg.frozen.edge_count(),
             ))
@@ -79,7 +80,7 @@ pub fn execute(gen: &Generation, req: &Request, exec: &Exec) -> Result<String, P
                 .iter()
                 .take(*top)
                 .map(|p| {
-                    json_string(&format!(
+                    quote(&format!(
                         "  support {:>5}  {} edges  {:<14} score {:.0}",
                         p.support,
                         p.pattern.edge_count(),
@@ -92,7 +93,7 @@ pub fn execute(gen: &Generation, req: &Request, exec: &Exec) -> Result<String, P
                 "{{\"ok\":true,\"op\":\"pattern\",\"generation\":{},\"labeling\":{},\
                  \"patterns\":{},\"lines\":[{}]}}",
                 gen.id,
-                json_string(labeling.name()),
+                quote(labeling.name()),
                 patterns.len(),
                 lines.join(","),
             ))
@@ -118,7 +119,7 @@ fn stats_reply(gen: &Generation) -> Result<String, PipelineError> {
         "{{\"ok\":true,\"op\":\"stats\",\"generation\":{},\"transactions\":{},\"report\":{}}}",
         gen.id,
         gen.txns.len(),
-        json_string(&report),
+        quote(&report),
     ))
 }
 
@@ -139,7 +140,7 @@ mod tests {
         let g = generation(150);
         let reply = execute(&g, &Request::Stats, &Exec::sequential()).unwrap();
         let offline = dataset_stats(&g.txns).to_string();
-        assert!(reply.contains(&json_string(&offline)));
+        assert!(reply.contains(&quote(&offline)));
         assert!(reply.starts_with("{\"ok\":true,\"op\":\"stats\",\"generation\":1,"));
     }
 

@@ -599,7 +599,7 @@ fn trace_reply(shared: &Shared) -> String {
         });
     let fields: Vec<String> = metrics
         .iter()
-        .map(|(k, v)| format!("{}:{v}", proto::json_string(k)))
+        .map(|(k, v)| format!("{}:{v}", tnet_obs::json::quote(k)))
         .collect();
     format!(
         "{{\"ok\":true,\"op\":\"trace\",\"metrics\":{{{}}}}}",

@@ -13,7 +13,8 @@
 // note in Cargo.toml). Off by default so the workspace builds offline.
 #![cfg(feature = "prop")]
 use proptest::prelude::*;
-use tnet_serve::proto::{error_reply, parse_json, parse_request, JVal, MAX_LINE_BYTES};
+use tnet_obs::json::Json;
+use tnet_serve::proto::{error_reply, parse_request, MAX_LINE_BYTES};
 
 /// Any reply the daemon would send for `line` must itself be one line
 /// of well-formed protocol JSON with `"ok":false` and a `kind` tag.
@@ -21,14 +22,10 @@ fn assert_wellformed_error(line: &str) {
     if let Err(e) = parse_request(line) {
         let reply = error_reply(&e);
         assert!(!reply.contains('\n'), "error reply must stay one line");
-        let parsed = parse_json(&reply).expect("error reply must re-parse");
-        let JVal::Obj(fields) = parsed else {
-            panic!("error reply must be an object: {reply}");
-        };
-        assert!(
-            fields
-                .iter()
-                .any(|(k, v)| k == "ok" && *v == JVal::Bool(false)),
+        let parsed = Json::parse(&reply).expect("error reply must re-parse");
+        assert_eq!(
+            parsed.get("ok"),
+            Some(&Json::Bool(false)),
             "error reply missing ok:false: {reply}"
         );
     }

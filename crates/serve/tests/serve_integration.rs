@@ -17,7 +17,8 @@ use tnet_data::model::Transaction;
 use tnet_data::od_graph::{build_od_graph, EdgeLabeling, VertexLabeling};
 use tnet_exec::Exec;
 use tnet_graph::traverse::count_label_walks;
-use tnet_serve::proto::{json_string, parse_request};
+use tnet_obs::json::quote;
+use tnet_serve::proto::parse_request;
 use tnet_serve::{query, EpochCell, Generation, ServeConfig, ServerHandle, WriterConfig};
 
 fn txns(scale: f64, seed: u64) -> Vec<Transaction> {
@@ -368,10 +369,7 @@ fn serve_replies_match_offline_pipeline_byte_for_byte() {
     // splices in (0 here — nothing was refused).
     let stats = c.send(r#"{"op":"stats"}"#);
     let render = tnet_data::stats::dataset_stats(&data).to_string();
-    assert!(
-        stats.contains(&json_string(&render)),
-        "stats render diverged"
-    );
+    assert!(stats.contains(&quote(&render)), "stats render diverged");
     let offline_stats = query::execute(
         &offline_gen,
         &parse_request(r#"{"op":"stats"}"#).unwrap(),
@@ -501,6 +499,57 @@ fn durable_daemon_recovers_acknowledged_state_across_restart() {
     control.shutdown();
     control.wait();
     control.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An ingest whose weight overflows to infinity is refused with a
+/// `protocol` error before it reaches the writer: it is never logged,
+/// later ingests still publish, and a restart on the same data
+/// directory recovers cleanly (an infinite weight in the WAL would make
+/// every later bin fit, and so every publish and every restart, fail).
+#[test]
+fn non_finite_ingest_is_refused_and_publishing_continues() {
+    let dir = std::env::temp_dir().join(format!("tnet_serve_inf_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || {
+        let mut cfg = churny_config(txns(0.005, 7));
+        cfg.durability = Some(tnet_serve::DurabilityConfig {
+            data_dir: dir.clone(),
+            fsync: tnet_serve::FsyncPolicy::Always,
+            snapshot_every: 0,
+        });
+        cfg
+    };
+    let record = |id: u64, weight: &str| {
+        format!(
+            "{{\"op\":\"ingest\",\"records\":[{{\"id\":{id},\"pickup\":733040,\"olat\":40.1,\
+             \"olon\":-88.0,\"dlat\":41.9,\"dlon\":-87.6,\"distance\":180.0,\
+             \"weight\":{weight},\"hours\":8.0}}]}}"
+        )
+    };
+
+    let mut handle = tnet_serve::start(durable()).unwrap();
+    let mut c = Client::connect(&handle);
+    let before = field_u64(&c.send(r#"{"op":"ping"}"#), "generation");
+    let reply = c.send(&record(920001, "1e309"));
+    assert!(reply.contains("\"kind\":\"protocol\""), "{reply}");
+    let reply = c.send(&record(920002, "9500.0"));
+    assert!(reply.contains("\"accepted\":1"), "{reply}");
+    wait_for_generation(&mut c, before + 1);
+    let live = field_u64(&c.send(r#"{"op":"stats"}"#), "transactions");
+    drop(c);
+    handle.shutdown();
+    handle.wait();
+    handle.join().unwrap();
+
+    let mut restarted = tnet_serve::start(durable()).expect("restart on the same data dir");
+    let mut c = Client::connect(&restarted);
+    let reply = c.send(r#"{"op":"stats"}"#);
+    assert_eq!(field_u64(&reply, "transactions"), live, "{reply}");
+    drop(c);
+    restarted.shutdown();
+    restarted.wait();
+    restarted.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
