@@ -80,6 +80,29 @@ echo "-- unarmed control"
 out=$("$TNET" "${REPORT_ARGS[@]}")
 grep -q '^sections: 13 ok, 0 degraded, 0 failed$' <<<"$out"
 
+echo "== brute-force oracle: wide seed sweep"
+# Tier-1 runs a small deterministic sweep; this one checks FSG, windowed
+# mine_source, gSpan and neighborhoods (radius 1 and 2) against the
+# independent brute-force reference on many more seeded graphs.
+cargo test --release -q -p tnet-core --offline --test oracle -- --ignored
+
+echo "== out-of-range values: usage errors, never panics"
+# Each value parses but is out of range: exit 2 with one stderr line.
+for bad in "report --scale 0" "report --scale 1.5" "report --scale NaN" \
+    "mine --scale 0.005 --reps 0" "mine --scale 0.005 --partitions 0" \
+    "subdue --scale 0.005 --beam 0" "subdue --scale 0.005 --best 0" \
+    "lanes --scale 0.005 --max-len 1" "lanes --scale 0.005 --max-sep -1"
+do
+    set +e
+    # shellcheck disable=SC2086
+    "$TNET" $bad > /dev/null 2> /tmp/tnet_ci_range.err
+    code=$?
+    set -e
+    test "$code" -eq 2 || { echo "tnet $bad exited $code" >&2; exit 1; }
+    test "$(wc -l < /tmp/tnet_ci_range.err)" -eq 1
+done
+rm -f /tmp/tnet_ci_range.err
+
 echo "== frozen-vs-arena differential: miners agree across representations"
 # FSG, gSpan, and SUBDUE mined through the frozen-CSR snapshot must match
 # the arena path byte-for-byte (patterns, supports, TIDs, instance ids).
@@ -214,22 +237,19 @@ echo "== bench smoke: miner report emits valid JSON, iso_tests under gate"
 # The smoke run times all three miners once, writes the report, and exits
 # non-zero if FSG's deterministic iso_tests counter on the default
 # workload regresses past the 5x-drop gate baked into the binary. The run
-# itself asserts that frozen-vs-arena and every per-technique toggle
-# (bitset TIDs off, fingerprints off) mine byte-identical pattern sets.
+# itself asserts that frozen-vs-arena mine byte-identical pattern sets.
 # --validate re-parses the emitted file and checks all miners are
-# present, the data-layout counters are live, the per-technique
-# off/on wall ratios clear the slowdown floor, and the
+# present, the data-layout counters are live, and the
 # partition-vs-neighborhood block has live rows (a completed
-# neighborhood run per row; the committed full report must also carry
-# the ≥10× scaled row).
+# neighborhood run with fingerprint rejects per row; the committed full
+# report must also carry the ≥10× scaled row).
 BENCH_OUT=/tmp/tnet_ci_bench.json
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --smoke --out "$BENCH_OUT"
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate "$BENCH_OUT"
 # The committed full report must pass the same gates, including the
-# fingerprint-reject sanity check on the dense large_txn workload
-# (smoke runs skip that workload).
+# ≥10× scaled partition-vs-neighborhood row (smoke runs skip it).
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate BENCH_miners.json
 # The CLI's trace export (written above) must satisfy the same
@@ -293,6 +313,12 @@ serve_rpc 'this is not json'                                 | grep -q '"kind":"
 # line, never acknowledged.
 serve_rpc '{"op":"ingest","records":[{"id":1,"pickup":733000,"olat":40.1,"olon":-88.0,"dlat":41.9,"dlon":-87.6,"distance":180.0,"weight":1e309,"hours":8.0}]}' \
                                                              | grep -q '"kind":"protocol"'
+serve_rpc '{"op":"ping"}'                                    | grep -q '"ok":true'
+# A partition count far past the edge count gets a reply (the split
+# stops at one edge per transaction), and a reps count past the
+# protocol bound is refused; the daemon answers ping after both.
+serve_rpc '{"op":"pattern","partitions":4294967295}'         | grep -q '"ok":true'
+serve_rpc '{"op":"pattern","reps":4294967295}'               | grep -q '"kind":"protocol"'
 serve_rpc '{"op":"ping"}'                                    | grep -q '"ok":true'
 # The repeated stats query must have landed in the result cache.
 serve_rpc '{"op":"trace"}' | grep -q '"serve.cache_hits":[1-9]'

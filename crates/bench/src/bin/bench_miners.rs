@@ -16,14 +16,10 @@
 //! - `--validate-trace PATH` parse a standalone `tnet-trace/v1` document
 //!   (the CLI's `--trace-json` output) and exit — no benching
 //!
-//! Every FSG/gSpan workload is run twice: with embedding propagation (the
-//! default cap) and with `embedding_cap = 0` (scratch VF2, the
-//! pre-optimization behavior), so each report carries its own
-//! speedup-vs-scratch number. The process exits non-zero if the
-//! propagated FSG run's `iso_tests` on the default workload regresses
-//! past [`FSG_DEFAULT_ISO_GATE`] — wall-clock is recorded but never
-//! gated, because shared-host timing noise (~40% observed) would make a
-//! time gate flaky.
+//! The process exits non-zero if the FSG run's `iso_tests` on the
+//! default workload regresses past [`FSG_DEFAULT_ISO_GATE`] — wall-clock
+//! is recorded but never gated, because shared-host timing noise (~40%
+//! observed) would make a time gate flaky.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -55,14 +51,6 @@ const FSG_DEFAULT_ISO_GATE: usize = 116;
 /// wall clock; the headroom absorbs shared-host jitter while still
 /// catching a representation-level slowdown).
 const SUPPORT_COUNT_RATIO_GATE: f64 = 1.5;
-
-/// `--validate` floor on the per-technique off/on wall ratios in the
-/// `support_count` block (`bitsets_off_over_on`,
-/// `fingerprint_off_over_on`). A technique is allowed to be a wash on a
-/// small workload, but if turning it *off* makes the miner this much
-/// faster the technique has become a regression and the gate trips. The
-/// floor sits well under 1.0 to absorb shared-host jitter.
-const TECHNIQUE_RATIO_FLOOR: f64 = 0.6;
 
 /// Historical baselines recorded on the development host (best of
 /// three), kept in the report so the perf trajectory is visible without
@@ -135,37 +123,17 @@ fn fsg_row(
     max_edges: usize,
     samples: usize,
 ) -> (Json, usize) {
-    let cfg = |cap: usize| {
-        FsgConfig::default()
-            .with_support(Support::Count(support))
-            .with_max_edges(max_edges)
-            .with_embedding_cap(cap)
-    };
-    let prop_cfg = cfg(FsgConfig::default().embedding_cap);
-    let scratch_cfg = cfg(0);
+    let cfg = FsgConfig::default()
+        .with_support(Support::Count(support))
+        .with_max_edges(max_edges);
     let t: Timing = bench(&format!("fsg/{name}"), samples, || {
-        mine(txns, &prop_cfg).unwrap()
+        mine(txns, &cfg).unwrap()
     });
-    let out = mine(txns, &prop_cfg).unwrap();
-    let ts = bench(&format!("fsg/{name}/scratch"), samples, || {
-        mine(txns, &scratch_cfg).unwrap()
-    });
-    let out_s = mine(txns, &scratch_cfg).unwrap();
-    assert_eq!(
-        out.patterns.len(),
-        out_s.patterns.len(),
-        "propagated and scratch runs must mine the same pattern set"
-    );
+    let out = mine(txns, &cfg).unwrap();
     let row = Json::obj([
         ("workload", Json::Str(name.into())),
         ("wall_ms", Json::Num(t.best_ms())),
-        ("wall_ms_scratch", Json::Num(ts.best_ms())),
-        (
-            "speedup_vs_scratch",
-            Json::Num(ts.best_ms() / t.best_ms().max(1e-9)),
-        ),
         ("iso_tests", Json::Num(out.stats.iso_tests as f64)),
-        ("iso_tests_scratch", Json::Num(out_s.stats.iso_tests as f64)),
         (
             "embeddings_extended",
             Json::Num(out.stats.embeddings_extended as f64),
@@ -183,10 +151,6 @@ fn fsg_row(
             Json::Num(out.stats.fingerprint_rejects as f64),
         ),
         (
-            "fingerprint_rejects_scratch",
-            Json::Num(out_s.stats.fingerprint_rejects as f64),
-        ),
-        (
             "bitset_intersections",
             Json::Num(out.stats.bitset_intersections as f64),
         ),
@@ -197,37 +161,19 @@ fn fsg_row(
 }
 
 fn gspan_row(name: &str, txns: &[Graph], support: usize, max_edges: usize, samples: usize) -> Json {
-    let cfg = |cap: usize| GspanConfig {
+    let cfg = GspanConfig {
         min_support: Support::Count(support),
         max_edges,
-        embedding_cap: cap,
         ..Default::default()
     };
-    let prop_cfg = cfg(GspanConfig::default().embedding_cap);
-    let scratch_cfg = cfg(0);
     let t = bench(&format!("gspan/{name}"), samples, || {
-        mine_dfs(txns, &prop_cfg).unwrap()
+        mine_dfs(txns, &cfg).unwrap()
     });
-    let out = mine_dfs(txns, &prop_cfg).unwrap();
-    let ts = bench(&format!("gspan/{name}/scratch"), samples, || {
-        mine_dfs(txns, &scratch_cfg).unwrap()
-    });
-    let out_s = mine_dfs(txns, &scratch_cfg).unwrap();
-    assert_eq!(
-        out.patterns.len(),
-        out_s.patterns.len(),
-        "propagated and scratch runs must mine the same pattern set"
-    );
+    let out = mine_dfs(txns, &cfg).unwrap();
     Json::obj([
         ("workload", Json::Str(name.into())),
         ("wall_ms", Json::Num(t.best_ms())),
-        ("wall_ms_scratch", Json::Num(ts.best_ms())),
-        (
-            "speedup_vs_scratch",
-            Json::Num(ts.best_ms() / t.best_ms().max(1e-9)),
-        ),
         ("iso_tests", Json::Num(out.stats.iso_tests as f64)),
-        ("iso_tests_scratch", Json::Num(out_s.stats.iso_tests as f64)),
         (
             "embeddings_extended",
             Json::Num(out.stats.embeddings_extended as f64),
@@ -278,12 +224,8 @@ fn subdue_row(scale: f64, seed: u64, vertices: usize, samples: usize) -> Json {
     ])
 }
 
-/// Renders a pattern set to a canonical string so two runs can be
-/// compared byte-for-byte, not just by count. Every differential in this
-/// file (frozen vs arena, each technique toggled off vs on) goes through
-/// this — the data-layout techniques are all supposed to be
-/// output-invariant, and a byte mismatch here means one of them changed
-/// results.
+/// Renders a pattern set to a canonical string so the frozen and arena
+/// runs can be compared byte-for-byte, not just by count.
 fn pattern_bytes(out: &tnet_fsg::FsgOutput) -> String {
     let mut s = String::new();
     for p in &out.patterns {
@@ -299,12 +241,6 @@ fn pattern_bytes(out: &tnet_fsg::FsgOutput) -> String {
 /// reports the one-off packing cost separately. The two paths must mine
 /// byte-identical pattern sets — support counting is
 /// representation-blind.
-///
-/// The row also times the frozen path with each data-layout technique
-/// individually toggled off (bitset TID intersection, fingerprint
-/// pre-filter), reporting `*_off_over_on` wall ratios. Each toggle is
-/// output-invariant, so the toggled runs must also be byte-identical;
-/// `--validate` gates the ratios against [`TECHNIQUE_RATIO_FLOOR`].
 fn support_count_row(
     name: &str,
     txns: &[Graph],
@@ -315,8 +251,6 @@ fn support_count_row(
     let cfg = FsgConfig::default()
         .with_support(Support::Count(support))
         .with_max_edges(max_edges);
-    let cfg_no_bitsets = cfg.clone().with_tid_bitsets(false);
-    let cfg_no_fp = cfg.clone().with_fingerprint_filter(false);
     let exec = Exec::new(1);
     let freeze_before = FrozenStats::snapshot();
     let freeze_start = Instant::now();
@@ -331,35 +265,14 @@ fn support_count_row(
     let searches = FrozenStats::snapshot()
         .since(&mine_before)
         .adj_binary_searches;
-    let t_nb = bench(&format!("support_count/{name}/no_bitsets"), samples, || {
-        mine_source(&frozen, &cfg_no_bitsets, &exec).unwrap()
-    });
-    let out_nb = mine_source(&frozen, &cfg_no_bitsets, &exec).unwrap();
-    let t_nf = bench(
-        &format!("support_count/{name}/no_fingerprints"),
-        samples,
-        || mine_source(&frozen, &cfg_no_fp, &exec).unwrap(),
-    );
-    let out_nf = mine_source(&frozen, &cfg_no_fp, &exec).unwrap();
     let ta = bench(&format!("support_count/{name}/arena"), samples, || {
         mine_source(txns, &cfg, &exec).unwrap()
     });
     let out_a = mine_source(txns, &cfg, &exec).unwrap();
-    let canon = pattern_bytes(&out_f);
     assert_eq!(
-        canon,
+        pattern_bytes(&out_f),
         pattern_bytes(&out_a),
         "frozen and arena support counting must mine byte-identical patterns"
-    );
-    assert_eq!(
-        canon,
-        pattern_bytes(&out_nb),
-        "bitset TID intersection must be output-invariant"
-    );
-    assert_eq!(
-        canon,
-        pattern_bytes(&out_nf),
-        "fingerprint pre-filter must be output-invariant"
     );
     Json::obj([
         ("workload", Json::Str(name.into())),
@@ -368,16 +281,6 @@ fn support_count_row(
         (
             "frozen_over_arena",
             Json::Num(tf.best_ms() / ta.best_ms().max(1e-9)),
-        ),
-        ("wall_ms_no_bitsets", Json::Num(t_nb.best_ms())),
-        (
-            "bitsets_off_over_on",
-            Json::Num(t_nb.best_ms() / tf.best_ms().max(1e-9)),
-        ),
-        ("wall_ms_no_fingerprints", Json::Num(t_nf.best_ms())),
-        (
-            "fingerprint_off_over_on",
-            Json::Num(t_nf.best_ms() / tf.best_ms().max(1e-9)),
         ),
         (
             "bitset_intersections",
@@ -583,18 +486,8 @@ fn validate(path: &str) -> Result<(), String> {
              gate is {SUPPORT_COUNT_RATIO_GATE}"
         ));
     }
-    // Per-technique gates: each data-layout technique must still be
-    // exercised (its counter is live) and must not have turned into a
-    // slowdown (off/on wall ratio above the floor).
-    for key in ["bitsets_off_over_on", "fingerprint_off_over_on"] {
-        let r = num(sc, key)?;
-        if r < TECHNIQUE_RATIO_FLOOR {
-            return Err(format!(
-                "REGRESSION — support_count {key} = {r:.2}; the technique is a \
-                 slowdown (floor {TECHNIQUE_RATIO_FLOOR})"
-            ));
-        }
-    }
+    // Data-layout activity gates: each technique's counter must be live
+    // on the bench workload.
     if num(sc, "bitset_intersections")? <= 0.0 {
         return Err("support_count.bitset_intersections is 0 — the bitset TID \
                     path is never taken on the bench workload"
@@ -607,8 +500,9 @@ fn validate(path: &str) -> Result<(), String> {
     }
     // Partition-vs-neighborhood head-to-head: the block must be
     // present, every row's neighborhood run must have completed (live
-    // centers, recorded wall), and a full (non-smoke) report must carry
-    // the ≥10× scaled row.
+    // centers, recorded wall) with the fingerprint pre-filter rejecting
+    // something, and a full (non-smoke) report must carry the ≥10×
+    // scaled row.
     let pvn = match doc.get("partition_vs_neighborhood") {
         Some(Json::Arr(rows)) if !rows.is_empty() => rows,
         Some(Json::Arr(_)) => return Err("partition_vs_neighborhood block is empty".into()),
@@ -633,6 +527,16 @@ fn validate(path: &str) -> Result<(), String> {
                     .into(),
             );
         }
+        let rejects = num(row, "nbhd_fingerprint_rejects").map_err(|_| {
+            "partition_vs_neighborhood row missing 'nbhd_fingerprint_rejects'".to_string()
+        })?;
+        if rejects <= 0.0 {
+            return Err(
+                "partition_vs_neighborhood row has nbhd_fingerprint_rejects = 0 — \
+                 the fingerprint pre-filter never fires in the neighborhood miner"
+                    .into(),
+            );
+        }
         max_scale = max_scale.max(num(row, "scale_factor").unwrap_or(0.0));
     }
     let is_smoke = matches!(doc.get("smoke"), Some(Json::Bool(true)));
@@ -641,21 +545,6 @@ fn validate(path: &str) -> Result<(), String> {
             "full report's partition_vs_neighborhood block has no ≥10× scaled row \
              (max scale_factor {max_scale:.1})"
         ));
-    }
-    // Fingerprint reject-rate sanity: every FSG row must report the
-    // counter, and the dense large_txn workload (present in non-smoke
-    // reports) must actually reject something from the scratch path.
-    if let Some(Json::Arr(rows)) = doc.get("miners").and_then(|m| m.get("fsg")) {
-        for row in rows {
-            let rejects = num(row, "fingerprint_rejects_scratch")
-                .map_err(|_| "fsg row missing 'fingerprint_rejects_scratch'".to_string())?;
-            let is_large = matches!(row.get("workload"), Some(Json::Str(s)) if s == "large_txn");
-            if is_large && rejects <= 0.0 {
-                return Err("fsg/large_txn fingerprint_rejects_scratch is 0 — the \
-                            fingerprint pre-filter never fires on the dense workload"
-                    .into());
-            }
-        }
     }
     println!(
         "{path}: valid, all three miners, trace block with graph.*/layout counters, \

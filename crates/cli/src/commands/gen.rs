@@ -1,6 +1,7 @@
 //! `tnet gen` — generate a synthetic dataset and write it as CSV.
 
-use crate::args::{ArgError, Args};
+use crate::args::Args;
+use crate::commands::parse_scale;
 use crate::error::CliError;
 use std::fs::File;
 use std::io::BufWriter;
@@ -9,11 +10,8 @@ use tnet_data::synth::{generate, SynthConfig};
 
 pub fn run(args: &Args) -> Result<(), CliError> {
     args.ensure_known(&["scale", "seed", "out"])?;
-    let scale: f64 = args.get_parsed_or("scale", 0.02)?;
+    let scale = parse_scale(args, 0.02)?;
     let seed: u64 = args.get_parsed_or("seed", 42)?;
-    if scale <= 0.0 || scale > 1.0 {
-        return Err(ArgError("--scale must be in (0, 1]".into()).into());
-    }
     let out = args.get_or("out", "tnet-data.csv").to_string();
     let cfg = SynthConfig::scaled(scale).with_seed(seed);
     let ds = generate(&cfg);

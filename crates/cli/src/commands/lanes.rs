@@ -1,8 +1,8 @@
 //! `tnet lanes` — dynamic-graph mining (§9 extensions): periodic lanes
 //! and time-respecting repeated routes.
 
-use crate::args::Args;
-use crate::commands::load_transactions;
+use crate::args::{ArgError, Args};
+use crate::commands::{load_transactions, parse_at_least};
 use crate::error::CliError;
 use tnet_core::experiments::extensions::{run_paths, run_periodic};
 use tnet_dynamic::paths::PathConfig;
@@ -16,12 +16,18 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         "max-len",
         "min-occurrences",
     ])?;
+    let max_sep: i64 = args.get_parsed_or("max-sep", 3)?;
+    if max_sep < 0 {
+        return Err(ArgError("--max-sep must be at least 0 (days)".into()).into());
+    }
+    // A route needs two legs; a one-leg "route" is just a lane.
+    let max_len = parse_at_least(args, "max-len", 2, 2)?;
     let txns = load_transactions(args)?;
     println!("{}", run_periodic(&txns));
     let cfg = PathConfig {
         min_sep: 0,
-        max_sep: args.get_parsed_or("max-sep", 3)?,
-        max_len: args.get_parsed_or("max-len", 2)?,
+        max_sep,
+        max_len,
         min_occurrences: args.get_parsed_or("min-occurrences", 3)?,
         max_instances: 1_000_000,
     };

@@ -3,7 +3,7 @@
 //! maximal filtering.
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_transactions, obs_context, parse_labeling};
+use crate::commands::{load_transactions, obs_context, parse_at_least, parse_labeling};
 use crate::error::CliError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tnet_data::binning::BinScheme;
@@ -56,14 +56,11 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     if !matches!(mode, "partition" | "neighborhood") {
         return Err(ArgError(format!("unknown mode '{mode}' (partition|neighborhood)")).into());
     }
-    let radius: usize = args.get_parsed_or("radius", 1)?;
-    if radius == 0 {
-        return Err(ArgError("--radius must be at least 1".into()).into());
-    }
-    let partitions: usize = args.get_parsed_or("partitions", 16)?;
+    let radius = parse_at_least(args, "radius", 1, 1)?;
+    let partitions = parse_at_least(args, "partitions", 16, 1)?;
     let support: usize = args.get_parsed_or("support", 5)?;
     let max_edges: usize = args.get_parsed_or("max-edges", 5)?;
-    let reps: usize = args.get_parsed_or("reps", 2)?;
+    let reps = parse_at_least(args, "reps", 2, 1)?;
     let top: usize = args.get_parsed_or("top", 15)?;
     let maximal = args.get_bool("maximal", false)?;
     let verbose = args.get_bool("verbose", false)?;

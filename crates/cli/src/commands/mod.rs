@@ -88,13 +88,35 @@ pub fn load_transactions(args: &crate::args::Args) -> Result<Vec<Transaction>, C
             File::open(path).map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;
         return Ok(tnet_data::csv::read_csv(BufReader::new(file))?);
     }
-    let scale: f64 = args.get_parsed_or("scale", 0.02)?;
+    let scale = parse_scale(args, 0.02)?;
     let seed: u64 = args.get_parsed_or("seed", 42)?;
-    if !(0.0..=1.0).contains(&scale) || scale <= 0.0 {
-        return Err(ArgError("--scale must be in (0, 1]".into()).into());
-    }
     let cfg = tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed);
     Ok(tnet_data::synth::generate(&cfg).transactions)
+}
+
+/// Reads `--scale` (default `default`): the synthetic generator's size
+/// as a fraction of the paper's dataset. Anything outside (0, 1], NaN
+/// included, is a usage error.
+pub fn parse_scale(args: &crate::args::Args, default: f64) -> Result<f64, ArgError> {
+    let scale: f64 = args.get_parsed_or("scale", default)?;
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(ArgError("--scale must be in (0, 1]".into()));
+    }
+    Ok(scale)
+}
+
+/// Reads a count option that must be at least `min`.
+pub fn parse_at_least(
+    args: &crate::args::Args,
+    key: &str,
+    default: usize,
+    min: usize,
+) -> Result<usize, ArgError> {
+    let n: usize = args.get_parsed_or(key, default)?;
+    if n < min {
+        return Err(ArgError(format!("--{key} must be at least {min}")));
+    }
+    Ok(n)
 }
 
 /// Shared tail of the mining commands (`mine`, windowed `temporal`):

@@ -5,7 +5,7 @@
 //! as at least one section completes.
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_transactions, obs_context};
+use crate::commands::{load_transactions, obs_context, parse_scale};
 use crate::error::CliError;
 use std::time::Duration;
 use tnet_core::experiments::extensions::{run_events, run_paths, run_periodic};
@@ -30,7 +30,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     if let Some(o) = &obs {
         exec = o.attach(&exec);
     }
-    let scale: f64 = args.get_parsed_or("scale", 0.05)?;
+    let scale = parse_scale(args, 0.05)?;
     let seed: u64 = args.get_parsed_or("seed", 42)?;
     let with_extensions = args.get_bool("extensions", true)?;
     let deadline_secs: f64 = args.get_parsed_or("deadline-secs", 0.0)?;

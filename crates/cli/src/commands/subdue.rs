@@ -2,7 +2,7 @@
 //! graph, with optional hierarchical compression passes.
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_transactions, obs_context, parse_labeling};
+use crate::commands::{load_transactions, obs_context, parse_at_least, parse_labeling};
 use crate::error::CliError;
 use tnet_core::experiments::structural::truncated_structural_graph;
 use tnet_core::patterns::classify;
@@ -43,8 +43,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         other => return Err(ArgError(format!("unknown eval '{other}' (mdl|size)")).into()),
     };
     let cfg = SubdueConfig {
-        beam_width: args.get_parsed_or("beam", 4)?,
-        max_best: args.get_parsed_or("best", 3)?,
+        beam_width: parse_at_least(args, "beam", 4, 1)?,
+        max_best: parse_at_least(args, "best", 3, 1)?,
         max_size: args.get_parsed_or("max-size", 14)?,
         eval,
         ..Default::default()

@@ -195,7 +195,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         // Attribution against planted structure is only meaningful for
         // the synthetic generator (CSV inputs have no ground truth).
         if args.get("input").is_none() {
-            let scale: f64 = args.get_parsed_or("scale", 0.02)?;
+            let scale = crate::commands::parse_scale(args, 0.02)?;
             let seed: u64 = args.get_parsed_or("seed", 42)?;
             let ds = tnet_data::synth::generate(
                 &tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed),

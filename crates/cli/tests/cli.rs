@@ -84,6 +84,57 @@ fn non_boolean_value_is_usage_error() {
     }
 }
 
+/// Values that parse but are out of range are usage errors too: exit 2
+/// with one stderr line naming the option, never a panic (exit 101).
+#[test]
+fn out_of_range_value_is_usage_error() {
+    for (args, key) in [
+        (&["report", "--scale", "0"][..], "--scale"),
+        (&["report", "--scale", "1.5"][..], "--scale"),
+        (&["report", "--scale", "NaN"][..], "--scale"),
+        (
+            &["gen", "--scale", "NaN", "--out", "/dev/null"][..],
+            "--scale",
+        ),
+        (&["mine", "--scale", "0.005", "--reps", "0"][..], "--reps"),
+        (
+            &["mine", "--scale", "0.005", "--partitions", "0"][..],
+            "--partitions",
+        ),
+        (&["subdue", "--scale", "0.005", "--beam", "0"][..], "--beam"),
+        (&["subdue", "--scale", "0.005", "--best", "0"][..], "--best"),
+        (
+            &["lanes", "--scale", "0.005", "--max-len", "1"][..],
+            "--max-len",
+        ),
+        (
+            &["lanes", "--scale", "0.005", "--max-sep", "-1"][..],
+            "--max-sep",
+        ),
+    ] {
+        let out = tnet().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "tnet {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error: ") && err.contains(key), "{err}");
+        assert_eq!(err.lines().count(), 1, "one-line stderr, got:\n{err}");
+    }
+}
+
+/// `mine --partitions 4294967295` runs to completion: the split holds at
+/// most one transaction per edge, however many partitions are asked for.
+#[test]
+fn huge_partition_count_is_bounded_by_the_edge_count() {
+    run_ok(&[
+        "mine",
+        "--scale",
+        "0.005",
+        "--partitions",
+        "4294967295",
+        "--reps",
+        "1",
+    ]);
+}
+
 #[test]
 fn missing_input_file_is_runtime_error() {
     let out = tnet()

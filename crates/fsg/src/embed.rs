@@ -115,6 +115,18 @@ impl EmbStore {
     }
 }
 
+/// Per-(pattern, transaction) embedding-list cap for propagated support
+/// counting, used by every miner (FSG, gSpan, neighborhoods). The
+/// effective cap for a transaction is `max(EMBEDDING_CAP, transaction
+/// edge count)` (see [`txn_cap`]). Lists at or under the cap are stored
+/// and extended one edge at a time as patterns grow; a list that
+/// overflows "spills": it is truncated to a [`SEED_CAP`]-bounded prefix
+/// and marked inexact, so memory stays bounded on symmetric/dense
+/// transactions. Extensions of the kept seeds still prove support, while
+/// an empty extension result from an inexact list is re-verified by a
+/// scratch VF2 search.
+pub const EMBEDDING_CAP: usize = 256;
+
 /// Seed budget for **inexact** embedding lists. Once a list has spilled,
 /// its embeddings only serve as extension witnesses (support proofs) for
 /// descendants — completeness is gone either way, and a bounded prefix of

@@ -12,7 +12,7 @@
 //! patterns) instead of core joining, and pattern identity uses
 //! invariant-hash + exact-isomorphism classes instead of canonical codes.
 
-use crate::embed::{grow_store, level1_store, seed_cap, txn_cap, EmbStore, Grown};
+use crate::embed::{grow_store, level1_store, seed_cap, txn_cap, EmbStore, Grown, EMBEDDING_CAP};
 use crate::extend::{closure_sub_patterns, extend_pattern, EdgeVocab, PairFilter};
 use crate::tidset::{self, TidBitset};
 use crate::types::{FrequentPattern, FsgConfig, FsgError, FsgOutput, MiningStats};
@@ -53,9 +53,8 @@ enum Verdict {
     /// Failed the downward-closure check (after passing the TID
     /// intersection gate, whose counter deltas it carries).
     Pruned(VerdictStats),
-    /// Survived closure; support counted by embedding propagation (or
-    /// scratch VF2 when `embedding_cap == 0`). `stores[i]` belongs to
-    /// `tids[i]` and is empty in scratch mode.
+    /// Survived closure; support counted by embedding propagation.
+    /// `stores[i]` belongs to `tids[i]`.
     Counted {
         tids: Vec<u32>,
         stores: Vec<EmbStore>,
@@ -231,12 +230,18 @@ pub fn mine_source<T: TxnSource + ?Sized>(
     // Embedding stores for the current level, parallel to `frequent`
     // (`stores[i][k]` covers `frequent[i].tids[k]`). Only the frontier
     // level is retained; finished levels keep just their TID lists.
-    let cap = cfg.embedding_cap;
-    let mut stores: Vec<Vec<EmbStore>> = if cap > 0 && cfg.max_edges > 1 {
+    let mut stores: Vec<Vec<EmbStore>> = if cfg.max_edges > 1 {
         let _t = span.time("embed_seed");
         frequent
             .iter()
-            .map(|p| level1_store(p, transactions, cap, &mut stats.embeddings_spilled))
+            .map(|p| {
+                level1_store(
+                    p,
+                    transactions,
+                    EMBEDDING_CAP,
+                    &mut stats.embeddings_spilled,
+                )
+            })
             .collect()
     } else {
         Vec::new()
@@ -307,17 +312,13 @@ pub fn mine_source<T: TxnSource + ?Sized>(
         // words instead of merging sorted lists. Sparse parents keep
         // `None` and their candidates fall back to the sorted path.
         let txn_count = transactions.txn_count();
-        let bitsets: Vec<Option<TidBitset>> = if cfg.tid_bitsets {
-            frequent
-                .iter()
-                .map(|p| {
-                    tidset::use_bitset(p.tids.len(), txn_count)
-                        .then(|| TidBitset::from_sorted(&p.tids, txn_count))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let bitsets: Vec<Option<TidBitset>> = frequent
+            .iter()
+            .map(|p| {
+                tidset::use_bitset(p.tids.len(), txn_count)
+                    .then(|| TidBitset::from_sorted(&p.tids, txn_count))
+            })
+            .collect();
         // Evaluate candidates in parallel: each verdict is a pure
         // function of (candidate, previous level, transactions), and the
         // fold below walks verdicts in candidate order — the costly VF2
@@ -338,28 +339,26 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                     .map(|&i| frequent[i].tids.len())
                     .min()
                     .expect("candidate without parents");
-                let inter: Vec<u32> = if distinct.len() > 1
-                    && cfg.tid_bitsets
-                    && distinct.iter().all(|&i| bitsets[i].is_some())
-                {
-                    // Branchless word ANDs; materializing ascending
-                    // reproduces the sorted merge's output exactly.
-                    let mut acc = bitsets[distinct[0]].as_ref().unwrap().words().to_vec();
-                    for &pi in &distinct[1..] {
-                        tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
-                        vstats.bitset_intersections += 1;
-                    }
-                    tidset::materialize(&acc)
-                } else {
-                    let mut inter: Vec<u32> = frequent[distinct[0]].tids.clone();
-                    for &pi in &distinct[1..] {
-                        if inter.is_empty() {
-                            break;
+                let inter: Vec<u32> =
+                    if distinct.len() > 1 && distinct.iter().all(|&i| bitsets[i].is_some()) {
+                        // Branchless word ANDs; materializing ascending
+                        // reproduces the sorted merge's output exactly.
+                        let mut acc = bitsets[distinct[0]].as_ref().unwrap().words().to_vec();
+                        for &pi in &distinct[1..] {
+                            tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
+                            vstats.bitset_intersections += 1;
                         }
-                        inter = intersect_sorted(&inter, &frequent[pi].tids);
-                    }
-                    inter
-                };
+                        tidset::materialize(&acc)
+                    } else {
+                        let mut inter: Vec<u32> = frequent[distinct[0]].tids.clone();
+                        for &pi in &distinct[1..] {
+                            if inter.is_empty() {
+                                break;
+                            }
+                            inter = intersect_sorted(&inter, &frequent[pi].tids);
+                        }
+                        inter
+                    };
                 vstats.tid_intersection_skips = min_parent_len - inter.len();
                 // The intersection bounds support from above. When it is
                 // already below threshold the candidate cannot be
@@ -399,7 +398,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                 closure_parents.dedup();
                 let inter: Vec<u32> = if closure_parents.is_empty() {
                     inter
-                } else if cfg.tid_bitsets && closure_parents.iter().all(|&i| bitsets[i].is_some()) {
+                } else if closure_parents.iter().all(|&i| bitsets[i].is_some()) {
                     let mut acc = TidBitset::from_sorted(&inter, txn_count).words().to_vec();
                     for &pi in &closure_parents {
                         tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
@@ -426,7 +425,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                 }
 
                 // Scratch-search machinery (search plan + edge-label
-                // prefilter) is built lazily: with propagation on, most
+                // prefilter + fingerprints) is built lazily: most
                 // candidates are settled entirely by embedding extension
                 // and never need it.
                 let build_scratch = || {
@@ -434,43 +433,10 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                     for e in candidate.edges() {
                         *need.entry(candidate.edge_label(e).0).or_insert(0) += 1;
                     }
-                    let fps = if cfg.fingerprint_filter {
-                        graph_fingerprints(candidate)
-                    } else {
-                        Vec::new()
-                    };
-                    (Matcher::new(candidate), need, fps)
+                    (Matcher::new(candidate), need, graph_fingerprints(candidate))
                 };
                 let mut tids = Vec::new();
                 let mut new_stores: Vec<EmbStore> = Vec::new();
-
-                if cap == 0 {
-                    // Propagation disabled: scratch VF2 per transaction.
-                    let (matcher, need, fps) = build_scratch();
-                    for &tid in &inter {
-                        let counts = &label_counts[tid as usize];
-                        if need
-                            .iter()
-                            .any(|(l, &k)| counts.get(l).copied().unwrap_or(0) < k)
-                        {
-                            continue;
-                        }
-                        let txn = transactions.txn(tid as usize);
-                        if cfg.fingerprint_filter && !may_embed(&fps, &txn) {
-                            vstats.fingerprint_rejects += 1;
-                            continue;
-                        }
-                        vstats.iso_tests += 1;
-                        if matcher.matches(&txn) {
-                            tids.push(tid);
-                        }
-                    }
-                    return Verdict::Counted {
-                        tids,
-                        stores: new_stores,
-                        stats: vstats,
-                    };
-                }
 
                 // The candidate's representative graph is parents[0]'s
                 // graph plus one appended edge (IsoClassMap keeps the
@@ -583,7 +549,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                         &txn,
                         &p0_stores[j],
                         &ext,
-                        cap,
+                        EMBEDDING_CAP,
                         last_level,
                         &mut vstats.embeddings_extended,
                         &mut vstats.embeddings_spilled,
@@ -612,7 +578,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                                     &txn,
                                     &stores[*pi][jj],
                                     aext,
-                                    cap,
+                                    EMBEDDING_CAP,
                                     last_level,
                                     &mut vstats.embeddings_extended,
                                     &mut vstats.embeddings_spilled,
@@ -655,7 +621,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                             {
                                 continue;
                             }
-                            if cfg.fingerprint_filter && !may_embed(fps, &txn) {
+                            if !may_embed(fps, &txn) {
                                 vstats.fingerprint_rejects += 1;
                                 continue;
                             }
@@ -678,7 +644,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                             // limit the list is complete — and therefore
                             // exact, restoring `Grown::Absent` fast
                             // paths for the descendants too.
-                            let limit = seed_cap().min(txn_cap(cap, &txn));
+                            let limit = seed_cap().min(txn_cap(EMBEDDING_CAP, &txn));
                             let seeds = matcher.find_unpruned(&txn, Find::AtMost(limit));
                             if !seeds.is_empty() {
                                 tids.push(tid);
@@ -737,10 +703,8 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                             graph: candidate,
                             tids,
                         });
-                        if cap > 0 {
-                            level_soa_bytes += st.iter().map(|s| s.byte_len()).sum::<usize>();
-                            next_stores.push(st);
-                        }
+                        level_soa_bytes += st.iter().map(|s| s.byte_len()).sum::<usize>();
+                        next_stores.push(st);
                     }
                 }
             }
@@ -950,40 +914,6 @@ mod tests {
         );
         assert!(out.stats.embeddings_extended > 0);
         assert!(out.stats.total_frequent() >= out.patterns.len());
-        // Scratch mode still exercises the iso-test counter.
-        let txns: Vec<Graph> = (0..3).map(|_| shapes::cycle(4, 0, 1)).collect();
-        let out = mine(&txns, &cfg(3).with_embedding_cap(0)).unwrap();
-        assert!(out.stats.iso_tests > 0);
-        assert_eq!(out.stats.embeddings_extended, 0);
-    }
-
-    #[test]
-    fn propagated_matches_scratch() {
-        // Mixed shapes: chains, hubs (twin symmetry), cycles, self-loops.
-        let mut txns: Vec<Graph> = Vec::new();
-        for i in 0..6 {
-            let mut g = shapes::hub_and_spoke(2 + i % 3, 0, 1);
-            let vs: Vec<_> = g.vertices().collect();
-            if i % 2 == 0 {
-                g.add_edge(vs[1], vs[0], ELabel(1));
-            }
-            g.add_edge(vs[0], vs[0], ELabel(2));
-            txns.push(g);
-        }
-        for cap in [1, 2, 256] {
-            let scratch = mine(&txns, &cfg(3).with_embedding_cap(0)).unwrap();
-            let prop = mine(&txns, &cfg(3).with_embedding_cap(cap)).unwrap();
-            assert_eq!(scratch.patterns.len(), prop.patterns.len(), "cap={cap}");
-            for (a, b) in scratch.patterns.iter().zip(&prop.patterns) {
-                assert_eq!(a.support, b.support, "cap={cap}");
-                assert_eq!(a.tids, b.tids, "cap={cap}");
-                assert!(are_isomorphic(&a.graph, &b.graph), "cap={cap}");
-            }
-        }
-        // A tiny cap must exercise the spill path on the hub shapes.
-        let tiny = mine(&txns, &cfg(3).with_embedding_cap(1)).unwrap();
-        assert!(tiny.stats.embeddings_spilled > 0);
-        assert!(tiny.stats.iso_tests > 0);
     }
 
     #[test]

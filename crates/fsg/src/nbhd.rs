@@ -40,7 +40,7 @@
 //! [`Exec::try_par_map`] (ordered), and all folding walks candidates in
 //! generation order — output is byte-identical at any thread count.
 
-use crate::embed::{grow_store, seed_cap, txn_cap, EmbStore, Grown};
+use crate::embed::{grow_store, seed_cap, txn_cap, EmbStore, Grown, EMBEDDING_CAP};
 use crate::types::Support;
 use tnet_exec::Exec;
 use tnet_graph::canon::IsoClassMap;
@@ -64,18 +64,6 @@ pub struct NbhdConfig {
     pub min_support: Support,
     /// Stop after patterns of this many edges.
     pub max_edges: usize,
-    /// Per-(pattern, center) embedding-list cap, exactly as
-    /// [`crate::FsgConfig::embedding_cap`]: `0` disables propagation and
-    /// every support test is a scratch VF2 search (kept for differential
-    /// testing).
-    pub embedding_cap: usize,
-    /// Check [`may_embed`] before every scratch VF2 decider. Rejections
-    /// are sound, so the toggle is output-invariant. The fingerprints
-    /// consulted are the *full-graph* per-vertex fingerprints (a frozen
-    /// array load): a neighborhood vertex's true fingerprint is a
-    /// bitwise subset of its full-graph one, so subsumption against the
-    /// superset can only weaken the filter, never unsoundly reject.
-    pub fingerprint_filter: bool,
 }
 
 impl Default for NbhdConfig {
@@ -84,8 +72,6 @@ impl Default for NbhdConfig {
             radius: 1,
             min_support: Support::Fraction(0.05),
             max_edges: 10,
-            embedding_cap: 256,
-            fingerprint_filter: true,
         }
     }
 }
@@ -106,18 +92,6 @@ impl NbhdConfig {
     /// Sets the maximum pattern size in edges.
     pub fn with_max_edges(mut self, n: usize) -> Self {
         self.max_edges = n;
-        self
-    }
-
-    /// Sets the per-(pattern, center) embedding cap (`0` = scratch only).
-    pub fn with_embedding_cap(mut self, cap: usize) -> Self {
-        self.embedding_cap = cap;
-        self
-    }
-
-    /// Enables or disables the fingerprint pre-filter.
-    pub fn with_fingerprint_filter(mut self, on: bool) -> Self {
-        self.fingerprint_filter = on;
         self
     }
 }
@@ -418,9 +392,10 @@ impl GraphView for NbhdView<'_> {
     }
 
     fn vertex_fp(&self, v: VertexId) -> u64 {
-        // Full-graph fingerprint (frozen array load): a superset of the
-        // neighborhood-local one in every packed field, so subsumption
-        // checks stay sound (see `NbhdConfig::fingerprint_filter`).
+        // Full-graph fingerprint (frozen array load): a neighborhood
+        // vertex's true fingerprint is a bitwise subset of its full-graph
+        // one, so subsumption against the superset can only weaken the
+        // pre-VF2 filter, never unsoundly reject.
         self.fg.vertex_fp(v)
     }
 }
@@ -582,7 +557,6 @@ pub fn mine_frozen(
     let n = GraphView::vertex_count(fg);
     stats.centers = n;
     let min_support = cfg.min_support.resolve(n);
-    let cap = cfg.embedding_cap;
 
     // ---- Neighborhood index -------------------------------------------
     let index_timer = span.time("neighborhoods");
@@ -647,10 +621,10 @@ pub fn mine_frozen(
 
     // Embedding stores for the frontier level, `stores[i][k]` covering
     // `frequent[i].centers[k]`.
-    let mut stores: Vec<Vec<EmbStore>> = if cap > 0 && cfg.max_edges > 1 {
+    let mut stores: Vec<Vec<EmbStore>> = if cfg.max_edges > 1 {
         frequent
             .iter()
-            .map(|p| level1_stores(p, fg, &index, cap, &mut stats.embeddings_spilled))
+            .map(|p| level1_stores(p, fg, &index, &mut stats.embeddings_spilled))
             .collect()
     } else {
         Vec::new()
@@ -684,7 +658,7 @@ pub fn mine_frozen(
         let verdicts = exec
             .try_par_map(&cand_list, |(candidate, (pidx, ext))| {
                 let parent = &frequent[*pidx];
-                let pstores: &[EmbStore] = if cap > 0 { &stores[*pidx] } else { &[] };
+                let pstores = &stores[*pidx];
                 let mut v = Verdict {
                     centers: Vec::new(),
                     stores: Vec::new(),
@@ -693,8 +667,8 @@ pub fn mine_frozen(
                     embeddings_extended: 0,
                     embeddings_spilled: 0,
                 };
-                // Scratch decider built lazily: with propagation on, most
-                // candidates never need it.
+                // Scratch decider built lazily: most candidates are
+                // settled by embedding extension and never need it.
                 let mut scratch: Option<(Matcher, Vec<u64>)> = None;
                 // Fingerprint pre-filter + scratch VF2 decider for one
                 // center, harvesting seeds mid-run so descendants extend
@@ -704,23 +678,15 @@ pub fn mine_frozen(
                                       view: NbhdView<'_>,
                                       c: u32| {
                     let (matcher, fps) = scratch.get_or_insert_with(|| {
-                        (
-                            Matcher::new(candidate),
-                            if cfg.fingerprint_filter {
-                                graph_fingerprints(candidate)
-                            } else {
-                                Vec::new()
-                            },
-                        )
+                        (Matcher::new(candidate), graph_fingerprints(candidate))
                     });
-                    if cfg.fingerprint_filter && !may_embed(fps, &view) {
+                    if !may_embed(fps, &view) {
                         v.fingerprint_rejects += 1;
                         return;
                     }
                     v.iso_tests += 1;
-                    if last_level || cap == 0 {
-                        // No descendant will consume a store (last
-                        // level) or stores are disabled: existence
+                    if last_level {
+                        // No descendant will consume a store: existence
                         // alone settles support.
                         if matcher.matches(&view) {
                             v.centers.push(c);
@@ -729,7 +695,7 @@ pub fn mine_frozen(
                     }
                     // Harvest seeds from the settling search so
                     // descendants extend instead of re-searching.
-                    let limit = seed_cap().min(txn_cap(cap, &view));
+                    let limit = seed_cap().min(txn_cap(EMBEDDING_CAP, &view));
                     let seeds = matcher.find_unpruned(&view, Find::AtMost(limit));
                     if !seeds.is_empty() {
                         v.centers.push(c);
@@ -750,15 +716,11 @@ pub fn mine_frozen(
                         break;
                     }
                     let view = index.view(fg, c as usize);
-                    if cap == 0 {
-                        settle_scratch(&mut v, &mut scratch, view, c);
-                        continue;
-                    }
                     match grow_store(
                         &view,
                         &pstores[k],
                         ext,
-                        cap,
+                        EMBEDDING_CAP,
                         last_level,
                         &mut v.embeddings_extended,
                         &mut v.embeddings_spilled,
@@ -791,10 +753,8 @@ pub fn mine_frozen(
                     graph: candidate,
                     centers: verdict.centers,
                 });
-                if cap > 0 {
-                    level_soa_bytes += verdict.stores.iter().map(|s| s.byte_len()).sum::<usize>();
-                    next_stores.push(verdict.stores);
-                }
+                level_soa_bytes += verdict.stores.iter().map(|s| s.byte_len()).sum::<usize>();
+                next_stores.push(verdict.stores);
             }
         }
         stats.soa_bytes = stats.soa_bytes.max(level_soa_bytes);
@@ -823,7 +783,6 @@ fn level1_stores(
     p: &NbhdPattern,
     fg: &FrozenGraph,
     index: &NbhdIndex,
-    cap: usize,
     spilled: &mut usize,
 ) -> Vec<EmbStore> {
     let e = p.graph.edges().next().expect("level-1 pattern has an edge");
@@ -836,7 +795,7 @@ fn level1_stores(
         .iter()
         .map(|&c| {
             let view = index.view(fg, c as usize);
-            let cap = txn_cap(cap, &view);
+            let cap = txn_cap(EMBEDDING_CAP, &view);
             let mut store = EmbStore::new(stride, true);
             for te in GraphView::edges(&view) {
                 let (ts, td, tl) = GraphView::edge(fg, te);
@@ -995,43 +954,6 @@ mod tests {
             .patterns
             .iter()
             .any(|p| are_isomorphic(&p.graph, &combo)));
-    }
-
-    #[test]
-    fn propagated_matches_scratch_and_toggles_are_invariant() {
-        use tnet_graph::generate::{random_graph, RandomGraphConfig};
-        let g = {
-            let mut g = random_graph(
-                &RandomGraphConfig {
-                    vertices: 24,
-                    edges: 60,
-                    vertex_labels: 2,
-                    edge_labels: 3,
-                    self_loops: true,
-                },
-                17,
-            );
-            g.dedup_edges();
-            g
-        };
-        let base = mine(&g, &cfg(3));
-        assert!(!base.patterns.is_empty());
-        for alt_cfg in [
-            cfg(3).with_embedding_cap(0),
-            cfg(3).with_embedding_cap(1),
-            cfg(3).with_fingerprint_filter(false),
-        ] {
-            let alt = mine(&g, &alt_cfg);
-            assert_eq!(base.patterns.len(), alt.patterns.len());
-            for (a, b) in base.patterns.iter().zip(&alt.patterns) {
-                assert_eq!(a.support, b.support);
-                assert_eq!(a.centers, b.centers);
-                assert!(are_isomorphic(&a.graph, &b.graph));
-            }
-        }
-        // The tiny cap must exercise the spill/scratch machinery.
-        let tiny = mine(&g, &cfg(3).with_embedding_cap(1));
-        assert!(tiny.stats.embeddings_spilled > 0);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!
 //! Materializing the AND result ascending yields exactly the sorted
 //! merge's output (both compute the same set, both emit ascending), so
-//! toggling [`crate::FsgConfig::tid_bitsets`] is output-invariant —
-//! pinned by the `prop`-gated differential tests.
+//! the density-driven choice between the two paths never changes what
+//! is mined — the brute-force oracle suite (`tests/oracle.rs`) pins the
+//! mined supports and TID lists.
 
 /// A TID outside the declared transaction universe was passed to
 /// [`TidBitset::try_from_sorted`]. Carries both sides of the violated

@@ -37,33 +37,6 @@ pub struct FsgConfig {
     /// insufficient memory" — as a deterministic, recoverable error
     /// instead of host OOM.
     pub memory_budget: Option<usize>,
-    /// Per-(pattern, transaction) embedding-list cap for propagated
-    /// support counting. The effective cap for a transaction is
-    /// `max(embedding_cap, transaction edge count)` — a list no longer
-    /// than the transaction costs no more than the transaction itself,
-    /// and large transactions are exactly where scratch searches are most
-    /// expensive. Lists at or under the cap are stored and extended one
-    /// edge at a time as patterns grow; a list that overflows "spills":
-    /// it is truncated to a bounded seed prefix and marked inexact, so
-    /// memory stays bounded on symmetric/dense transactions. Extensions
-    /// of the kept seeds still prove support, while an empty extension
-    /// result from an inexact list is re-verified by a scratch VF2
-    /// search. `0` disables propagation entirely (every support test is a
-    /// scratch VF2 search — the pre-optimization behavior, kept for
-    /// differential testing).
-    pub embedding_cap: usize,
-    /// Use `u64` bitsets for the all-parents TID intersection when the
-    /// lists are dense enough (see [`crate::tidset::use_bitset`]);
-    /// `false` forces the sorted-merge path everywhere. Both paths
-    /// compute the same set, so this toggle is output-invariant — kept
-    /// for differential testing and the per-technique bench rows.
-    pub tid_bitsets: bool,
-    /// Check per-vertex structural fingerprints
-    /// ([`tnet_graph::fingerprint`]) before every scratch VF2 support
-    /// test; a fingerprint reject proves no embedding exists, so the
-    /// toggle is output-invariant. `false` disables the filter (kept for
-    /// differential testing and the per-technique bench rows).
-    pub fingerprint_filter: bool,
 }
 
 impl Default for FsgConfig {
@@ -72,9 +45,6 @@ impl Default for FsgConfig {
             min_support: Support::Fraction(0.05),
             max_edges: 10,
             memory_budget: None,
-            embedding_cap: 256,
-            tid_bitsets: true,
-            fingerprint_filter: true,
         }
     }
 }
@@ -95,25 +65,6 @@ impl FsgConfig {
     /// Sets the candidate-set memory budget in bytes.
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Sets the per-(pattern, transaction) embedding-list cap (`0`
-    /// disables embedding propagation).
-    pub fn with_embedding_cap(mut self, cap: usize) -> Self {
-        self.embedding_cap = cap;
-        self
-    }
-
-    /// Enables or disables bitset TID intersection.
-    pub fn with_tid_bitsets(mut self, on: bool) -> Self {
-        self.tid_bitsets = on;
-        self
-    }
-
-    /// Enables or disables the fingerprint pre-filter.
-    pub fn with_fingerprint_filter(mut self, on: bool) -> Self {
-        self.fingerprint_filter = on;
         self
     }
 }
@@ -144,10 +95,9 @@ pub struct MiningStats {
     pub frequent_per_level: Vec<usize>,
     /// Candidates eliminated by downward-closure pruning.
     pub closure_pruned: usize,
-    /// Subgraph-isomorphism (support-count) tests executed. With
-    /// embedding propagation enabled these only happen when a truncated
-    /// (inexact) embedding list yields no extension — an unverified "no"
-    /// that is settled from scratch.
+    /// Subgraph-isomorphism (support-count) tests executed. These only
+    /// happen when a truncated (inexact) embedding list yields no
+    /// extension — an unverified "no" that is settled from scratch.
     pub iso_tests: usize,
     /// Peak estimated candidate-set bytes across levels.
     pub peak_candidate_bytes: usize,
@@ -155,7 +105,8 @@ pub struct MiningStats {
     /// support tests.
     pub embeddings_extended: usize,
     /// (pattern, transaction) embedding lists that overflowed the cap and
-    /// were truncated to `embedding_cap` inexact seed entries.
+    /// were truncated to inexact seed prefixes (see
+    /// [`crate::embed::EMBEDDING_CAP`]).
     pub embeddings_spilled: usize,
     /// Transaction checks avoided by intersecting *all* parents' TID
     /// lists instead of seeding from the single smallest parent.
@@ -282,12 +233,6 @@ mod tests {
         assert_eq!(c.min_support, Support::Count(3));
         assert_eq!(c.max_edges, 4);
         assert_eq!(c.memory_budget, Some(1 << 20));
-        assert!(
-            c.tid_bitsets && c.fingerprint_filter,
-            "techniques default on"
-        );
-        let off = c.with_tid_bitsets(false).with_fingerprint_filter(false);
-        assert!(!off.tid_bitsets && !off.fingerprint_filter);
     }
 
     #[test]

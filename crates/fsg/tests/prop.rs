@@ -89,82 +89,6 @@ proptest! {
         }
     }
 
-    /// Propagated support counting is invisible in the output: any
-    /// embedding cap — including caps of 1–2 that truncate nearly every
-    /// list and force the inexact-seed re-verification path — mines the
-    /// same patterns with the same TID lists as scratch VF2 (cap 0).
-    #[test]
-    fn embedding_propagation_matches_scratch(
-        txns_raw in proptest::collection::vec(raw_txn(5, 8), 2..6),
-        min_support in 1usize..3,
-        cap in prop_oneof![Just(1usize), Just(2), Just(4), Just(256)],
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
-        let cfg = |cap: usize| FsgConfig::default()
-            .with_support(Support::Count(min_support))
-            .with_max_edges(4)
-            .with_embedding_cap(cap);
-        let scratch = mine(&txns, &cfg(0)).unwrap();
-        let prop = mine(&txns, &cfg(cap)).unwrap();
-        prop_assert_eq!(prop.patterns.len(), scratch.patterns.len());
-        for (a, b) in prop.patterns.iter().zip(&scratch.patterns) {
-            prop_assert_eq!(&a.tids, &b.tids);
-            prop_assert_eq!(a.support, b.support);
-            prop_assert!(tnet_graph::iso::are_isomorphic(&a.graph, &b.graph));
-        }
-    }
-
-    /// The bitset TID-intersection path is invisible in the output:
-    /// mining with `tid_bitsets` on and off produces identical pattern
-    /// sets, supports, and TID lists. The random universes here are
-    /// small (≤ 64 transactions — one `u64` word), so every multi-parent
-    /// join with the toggle on actually takes the bitset path.
-    #[test]
-    fn bitset_tid_intersection_matches_sorted(
-        txns_raw in proptest::collection::vec(raw_txn(5, 8), 2..6),
-        min_support in 1usize..3,
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
-        let cfg = |on: bool| FsgConfig::default()
-            .with_support(Support::Count(min_support))
-            .with_max_edges(4)
-            .with_tid_bitsets(on);
-        let with = mine(&txns, &cfg(true)).unwrap();
-        let without = mine(&txns, &cfg(false)).unwrap();
-        prop_assert_eq!(with.patterns.len(), without.patterns.len());
-        for (a, b) in with.patterns.iter().zip(&without.patterns) {
-            prop_assert_eq!(&a.tids, &b.tids);
-            prop_assert_eq!(a.support, b.support);
-            prop_assert!(tnet_graph::iso::are_isomorphic(&a.graph, &b.graph));
-        }
-    }
-
-    /// The fingerprint pre-filter is invisible in the output: a reject
-    /// claims to *prove* no embedding exists, so mining with the filter
-    /// on and off must agree exactly. Run at cap 0 (every support test
-    /// is a scratch search) so the filter sits in front of every single
-    /// isomorphism test the miner makes.
-    #[test]
-    fn fingerprint_filter_matches_unfiltered(
-        txns_raw in proptest::collection::vec(raw_txn(5, 8), 2..6),
-        min_support in 1usize..3,
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
-        let cfg = |on: bool| FsgConfig::default()
-            .with_support(Support::Count(min_support))
-            .with_max_edges(4)
-            .with_embedding_cap(0)
-            .with_fingerprint_filter(on);
-        let with = mine(&txns, &cfg(true)).unwrap();
-        let without = mine(&txns, &cfg(false)).unwrap();
-        prop_assert_eq!(with.patterns.len(), without.patterns.len());
-        for (a, b) in with.patterns.iter().zip(&without.patterns) {
-            prop_assert_eq!(&a.tids, &b.tids);
-            prop_assert_eq!(a.support, b.support);
-            prop_assert!(tnet_graph::iso::are_isomorphic(&a.graph, &b.graph));
-        }
-    }
-
     /// Raising the support threshold can only shrink the result set.
     #[test]
     fn support_threshold_monotone(

@@ -25,7 +25,7 @@
 //! ```
 
 use tnet_exec::Exec;
-use tnet_fsg::embed::{grow_store, level1_store, EmbStore, Grown};
+use tnet_fsg::embed::{grow_store, level1_store, EmbStore, Grown, EMBEDDING_CAP};
 use tnet_fsg::extend::{extend_pattern, EdgeVocab};
 use tnet_fsg::{FrequentPattern, Support};
 use tnet_graph::canon::IsoClassMap;
@@ -47,19 +47,6 @@ pub struct GspanConfig {
     /// [`tnet_fsg::FsgConfig::memory_budget`], so the two miners are
     /// boundable by the same knob.
     pub memory_budget: Option<usize>,
-    /// Per-(pattern, transaction) embedding-list cap for propagated
-    /// support counting, with the same semantics as
-    /// [`tnet_fsg::FsgConfig::embedding_cap`]: occurrence lists ride the
-    /// DFS growth stack and are extended one edge at a time; overflowing
-    /// lists are truncated to inexact seed prefixes whose empty
-    /// extensions are re-verified from scratch. `0` disables propagation
-    /// (every support test is a scratch VF2 search).
-    pub embedding_cap: usize,
-    /// Check per-vertex structural fingerprints
-    /// ([`tnet_graph::fingerprint`]) before every scratch VF2 support
-    /// test, with the same output-invariant semantics as
-    /// [`tnet_fsg::FsgConfig::fingerprint_filter`].
-    pub fingerprint_filter: bool,
 }
 
 impl Default for GspanConfig {
@@ -68,8 +55,6 @@ impl Default for GspanConfig {
             min_support: Support::Fraction(0.05),
             max_edges: 10,
             memory_budget: None,
-            embedding_cap: 256,
-            fingerprint_filter: true,
         }
     }
 }
@@ -118,8 +103,8 @@ pub struct GspanStats {
     /// materialized patterns, the peak-memory analogue of FSG's
     /// per-level candidate count).
     pub max_depth: usize,
-    /// Subgraph-isomorphism tests run. With embedding propagation these
-    /// only settle unverified "no"s from truncated occurrence lists.
+    /// Subgraph-isomorphism tests run. These only settle unverified
+    /// "no"s from truncated occurrence lists.
     pub iso_tests: usize,
     /// Peak estimated live bytes (visited classes + results + TIDs) —
     /// the number the memory budget is checked against.
@@ -285,8 +270,6 @@ pub fn mine_dfs_source<T: TxnSource + ?Sized>(
         min_support,
         max_edges: cfg.max_edges,
         budget: cfg.memory_budget,
-        embedding_cap: cfg.embedding_cap,
-        fingerprint_filter: cfg.fingerprint_filter,
         exec,
         visited: IsoClassMap::new(),
         results: Vec::new(),
@@ -297,11 +280,11 @@ pub fn mine_dfs_source<T: TxnSource + ?Sized>(
     for seed in seeds {
         walk.charge(&seed)?;
         walk.visited.insert(seed.graph.clone(), ());
-        let seed_stores = if cfg.embedding_cap > 0 && cfg.max_edges > 1 {
+        let seed_stores = if cfg.max_edges > 1 {
             level1_store(
                 &seed,
                 transactions,
-                cfg.embedding_cap,
+                EMBEDDING_CAP,
                 &mut walk.stats.embeddings_spilled,
             )
         } else {
@@ -341,8 +324,6 @@ struct Walk<'a, T: TxnSource + ?Sized> {
     min_support: usize,
     max_edges: usize,
     budget: Option<usize>,
-    embedding_cap: usize,
-    fingerprint_filter: bool,
     exec: &'a Exec,
     visited: IsoClassMap<()>,
     results: Vec<FrequentPattern>,
@@ -384,7 +365,10 @@ impl<T: TxnSource + ?Sized> Walk<'_, T> {
         if parent.graph.edge_count() >= self.max_edges {
             return Ok(());
         }
-        let propagate = self.embedding_cap > 0 && parent_stores.len() == parent.tids.len();
+        // Every parent that reaches this point carries one occurrence
+        // list per TID: seeds get theirs from `level1_store`, and a
+        // non-terminal child gets one per supporting transaction below.
+        debug_assert_eq!(parent_stores.len(), parent.tids.len());
         // One parent's extensions — the only candidate buffer ever held.
         let mut extensions: IsoClassMap<Vec<usize>> = IsoClassMap::new();
         {
@@ -401,116 +385,71 @@ impl<T: TxnSource + ?Sized> Walk<'_, T> {
             }
             self.visited.insert(candidate.clone(), ());
             let support_timer = self.span.time("support_count");
-            let (tids, child_stores) = if propagate {
-                // The iso-class representative is the first graph
-                // inserted for the class: the parent plus one appended
-                // edge. Recover that edge and grow the parent's
-                // occurrence lists by it instead of searching from
-                // scratch; the lists ride the DFS stack alongside the
-                // patterns themselves.
-                let ext = derive_extension(parent.graph.vertex_count(), &candidate)
-                    .expect("candidate is a one-edge extension of its parent");
-                let witness_only = candidate.edge_count() >= self.max_edges;
-                // Scratch machinery (matcher + pattern fingerprints) is
-                // only ever needed to settle an unverified "no" from a
-                // truncated (inexact) seed list.
-                let fp_filter = self.fingerprint_filter;
-                let scratch = parent_stores.iter().any(|s| !s.exact).then(|| {
-                    let fps = if fp_filter {
-                        graph_fingerprints(&candidate)
-                    } else {
-                        Vec::new()
-                    };
-                    (Matcher::new(&candidate), fps)
-                });
-                let cap = self.embedding_cap;
-                let transactions = self.transactions;
-                let idx: Vec<usize> = (0..parent.tids.len()).collect();
-                let outcomes = self.exec.par_map(&idx, |&i| {
-                    let txn = transactions.txn(parent.tids[i] as usize);
-                    let mut extended = 0usize;
-                    let mut spilled = 0usize;
-                    match grow_store(
-                        &txn,
-                        &parent_stores[i],
-                        &ext,
-                        cap,
-                        witness_only,
-                        &mut extended,
-                        &mut spilled,
-                    ) {
-                        Grown::Absent => (false, None, extended, spilled, false, false),
-                        Grown::Unverified => {
-                            let (matcher, fps) =
-                                scratch.as_ref().expect("inexact store implies a matcher");
-                            if fp_filter && !may_embed(fps, &txn) {
-                                return (false, None, extended, spilled, false, true);
-                            }
-                            let hit = matcher.matches(&txn);
-                            let store = (hit && !witness_only)
-                                .then(|| EmbStore::new(candidate.vertex_count(), false));
-                            (hit, store, extended, spilled, true, false)
+            // The iso-class representative is the first graph inserted
+            // for the class: the parent plus one appended edge. Recover
+            // that edge and grow the parent's occurrence lists by it
+            // instead of searching from scratch; the lists ride the DFS
+            // stack alongside the patterns themselves.
+            let ext = derive_extension(parent.graph.vertex_count(), &candidate)
+                .expect("candidate is a one-edge extension of its parent");
+            let witness_only = candidate.edge_count() >= self.max_edges;
+            // Scratch machinery (matcher + pattern fingerprints) is only
+            // ever needed to settle an unverified "no" from a truncated
+            // (inexact) seed list.
+            let scratch = parent_stores
+                .iter()
+                .any(|s| !s.exact)
+                .then(|| (Matcher::new(&candidate), graph_fingerprints(&candidate)));
+            let transactions = self.transactions;
+            let idx: Vec<usize> = (0..parent.tids.len()).collect();
+            let outcomes = self.exec.par_map(&idx, |&i| {
+                let txn = transactions.txn(parent.tids[i] as usize);
+                let mut extended = 0usize;
+                let mut spilled = 0usize;
+                match grow_store(
+                    &txn,
+                    &parent_stores[i],
+                    &ext,
+                    EMBEDDING_CAP,
+                    witness_only,
+                    &mut extended,
+                    &mut spilled,
+                ) {
+                    Grown::Absent => (false, None, extended, spilled, false, false),
+                    Grown::Unverified => {
+                        let (matcher, fps) =
+                            scratch.as_ref().expect("inexact store implies a matcher");
+                        if !may_embed(fps, &txn) {
+                            return (false, None, extended, spilled, false, true);
                         }
-                        Grown::Witnessed { store } => {
-                            (true, store, extended, spilled, false, false)
-                        }
+                        let hit = matcher.matches(&txn);
+                        let store = (hit && !witness_only)
+                            .then(|| EmbStore::new(candidate.vertex_count(), false));
+                        (hit, store, extended, spilled, true, false)
                     }
-                });
-                let mut tids: Vec<u32> = Vec::new();
-                let mut child_stores: Vec<EmbStore> = Vec::new();
-                for (i, (hit, store, extended, spilled, scratched, fp_rejected)) in
-                    outcomes.into_iter().enumerate()
-                {
-                    self.stats.embeddings_extended += extended;
-                    self.stats.embeddings_spilled += spilled;
-                    if scratched {
-                        self.stats.iso_tests += 1;
-                    }
-                    if fp_rejected {
-                        self.stats.fingerprint_rejects += 1;
-                    }
-                    if hit {
-                        tids.push(parent.tids[i]);
-                        if let Some(st) = store {
-                            child_stores.push(st);
-                        }
+                    Grown::Witnessed { store } => (true, store, extended, spilled, false, false),
+                }
+            });
+            let mut tids: Vec<u32> = Vec::new();
+            let mut child_stores: Vec<EmbStore> = Vec::new();
+            for (i, (hit, store, extended, spilled, scratched, fp_rejected)) in
+                outcomes.into_iter().enumerate()
+            {
+                self.stats.embeddings_extended += extended;
+                self.stats.embeddings_spilled += spilled;
+                if scratched {
+                    self.stats.iso_tests += 1;
+                }
+                if fp_rejected {
+                    self.stats.fingerprint_rejects += 1;
+                }
+                if hit {
+                    tids.push(parent.tids[i]);
+                    if let Some(st) = store {
+                        child_stores.push(st);
                     }
                 }
-                (tids, child_stores)
-            } else {
-                let matcher = Matcher::new(&candidate);
-                let fps = if self.fingerprint_filter {
-                    graph_fingerprints(&candidate)
-                } else {
-                    Vec::new()
-                };
-                // Support counting is the hot loop; fan the VF2 searches
-                // over the pool and keep matching TIDs in input order.
-                // 0 = fingerprint reject, 1 = VF2 miss, 2 = VF2 hit.
-                let hits = self.exec.par_map(&parent.tids, |&tid| {
-                    let txn = self.transactions.txn(tid as usize);
-                    if self.fingerprint_filter && !may_embed(&fps, &txn) {
-                        return 0u8;
-                    }
-                    if matcher.matches(&txn) {
-                        2
-                    } else {
-                        1
-                    }
-                });
-                let mut tids: Vec<u32> = Vec::new();
-                for (&tid, h) in parent.tids.iter().zip(&hits) {
-                    match h {
-                        0 => self.stats.fingerprint_rejects += 1,
-                        1 => self.stats.iso_tests += 1,
-                        _ => {
-                            self.stats.iso_tests += 1;
-                            tids.push(tid);
-                        }
-                    }
-                }
-                (tids, Vec::new())
-            };
+            }
             self.stats.counted += 1;
             // Dropped before recursing: a nested grow's phases must not
             // double-count inside this candidate's support time.
@@ -647,7 +586,6 @@ mod tests {
             min_support: Support::Count(4),
             max_edges: 6,
             memory_budget: Some(1_024),
-            ..Default::default()
         };
         let exec = Exec::new(2);
         match mine_dfs_with(&txns, &cfg, &exec) {

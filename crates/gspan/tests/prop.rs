@@ -1,7 +1,6 @@
-//! Property tests for the DFS miner's propagated support counting:
-//! occurrence-list propagation at any cap (including spill-forcing tiny
-//! caps) must be output-equivalent to scratch VF2, and the DFS miner
-//! must agree with FSG on the same inputs.
+//! Property tests for the DFS miner: it must agree with FSG on the same
+//! inputs. Exactness of both against an independent reference is the
+//! brute-force oracle suite's job (`tests/oracle.rs` at the repo root).
 
 // Gated: needs the external `proptest` crate (see the `prop` feature
 // note in Cargo.toml). Off by default so the workspace builds offline.
@@ -34,30 +33,6 @@ fn build(vlabels: &[u32], edges: &[RawEdge]) -> Graph {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Any embedding cap mines the same patterns and TID lists as
-    /// scratch VF2 (cap 0); tiny caps exercise the truncated-seed path.
-    #[test]
-    fn propagation_matches_scratch(
-        txns_raw in proptest::collection::vec(raw_txn(5, 8), 2..6),
-        min_support in 1usize..3,
-        cap in prop_oneof![Just(1usize), Just(2), Just(4), Just(256)],
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
-        let cfg = |cap: usize| GspanConfig {
-            min_support: Support::Count(min_support),
-            max_edges: 4,
-            memory_budget: None,
-            embedding_cap: cap,
-        };
-        let scratch = mine_dfs(&txns, &cfg(0)).unwrap();
-        let prop = mine_dfs(&txns, &cfg(cap)).unwrap();
-        prop_assert_eq!(prop.patterns.len(), scratch.patterns.len());
-        for (a, b) in prop.patterns.iter().zip(&scratch.patterns) {
-            prop_assert_eq!(&a.tids, &b.tids);
-            prop_assert!(are_isomorphic(&a.graph, &b.graph));
-        }
-    }
 
     /// The DFS miner with propagation agrees with FSG (which propagates
     /// through level-wise joins) on pattern count and supports.

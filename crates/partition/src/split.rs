@@ -159,7 +159,9 @@ pub fn split_frozen(
 ) -> Vec<Graph> {
     assert!(k > 0, "need at least one partition");
     let mut work = Peel::new(fg);
-    let mut out: Vec<Graph> = Vec::with_capacity(k);
+    // Every transaction takes at least one edge, so there are never more
+    // than `edge_count` of them, however large `k` is.
+    let mut out: Vec<Graph> = Vec::with_capacity(k.min(fg.edge_count()));
     let mut t = 0usize;
     while work.remaining > 0 {
         t += 1;

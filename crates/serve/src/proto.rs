@@ -99,6 +99,11 @@ impl Request {
     }
 }
 
+/// Largest `reps` a `pattern` request may ask for. Algorithm 1 splits
+/// and mines the graph once per repetition, so the bound caps the work
+/// one request can queue; `tnet mine` defaults to 2.
+pub const MAX_PATTERN_REPS: usize = 64;
+
 fn perr(message: impl Into<String>) -> PipelineError {
     PipelineError::Protocol {
         message: message.into(),
@@ -272,13 +277,19 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
             if support == 0 {
                 return Err(perr("field `support` must be at least 1"));
             }
+            let reps = usize_field(&fields, "reps", 2)?.max(1);
+            if reps > MAX_PATTERN_REPS {
+                return Err(perr(format!(
+                    "field `reps` must be at most {MAX_PATTERN_REPS}, got {reps}"
+                )));
+            }
             Ok(Request::Pattern {
                 labeling: labeling_field(&fields)?,
                 strategy,
                 partitions: usize_field(&fields, "partitions", 16)?.max(1),
                 support,
                 max_edges: usize_field(&fields, "max_edges", 5)?.max(1),
-                reps: usize_field(&fields, "reps", 2)?.max(1),
+                reps,
                 top: usize_field(&fields, "top", 15)?,
             })
         }
@@ -377,6 +388,15 @@ mod tests {
     }
 
     #[test]
+    fn reps_up_to_the_protocol_bound_are_accepted() {
+        let line = format!(r#"{{"op":"pattern","reps":{MAX_PATTERN_REPS}}}"#);
+        let Request::Pattern { reps, .. } = parse_request(&line).unwrap() else {
+            panic!("not a pattern request");
+        };
+        assert_eq!(reps, MAX_PATTERN_REPS);
+    }
+
+    #[test]
     fn canonical_form_is_field_order_independent() {
         let a = parse_request(r#"{"op":"pattern","support":3,"labeling":"th"}"#).unwrap();
         let b = parse_request(r#"{"labeling":"hours","op":"pattern","support":3}"#).unwrap();
@@ -442,6 +462,8 @@ mod tests {
             r#"{"op":"support"}"#,
             r#"{"op":"support","labels":["x"]}"#,
             r#"{"op":"pattern","support":0}"#,
+            r#"{"op":"pattern","reps":65}"#,
+            r#"{"op":"pattern","reps":4294967295}"#,
             r#"{"op":"ping"} trailing"#,
             r#"{"op":"ingest","records":[{"id":1}]}"#,
             r#"{"op":"pattern","labeling":"zz"}"#,

@@ -352,6 +352,27 @@ fn protocol_errors_never_kill_the_connection() {
     handle.join().unwrap();
 }
 
+/// A `pattern` request for 2^32 − 1 partitions gets a reply instead of
+/// aborting the daemon on a 343 GB allocation: every transaction takes
+/// at least one edge, so the split never holds more transactions than
+/// the graph has edges. A `reps` above `MAX_PATTERN_REPS` is refused
+/// before any work is queued. The daemon keeps serving after both.
+#[test]
+fn huge_partition_and_rep_counts_get_replies_and_the_daemon_survives() {
+    let mut handle = tnet_serve::start(quiescent_config(txns(0.005, 7))).unwrap();
+    let mut c = Client::connect(&handle);
+    let reply = c.send(r#"{"op":"pattern","partitions":4294967295}"#);
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let reply = c.send(r#"{"op":"pattern","reps":4294967295}"#);
+    assert!(reply.contains("\"kind\":\"protocol\""), "{reply}");
+    assert!(reply.contains("at most"), "{reply}");
+    assert!(c.send(r#"{"op":"ping"}"#).contains("\"ok\":true"));
+    drop(c);
+    handle.shutdown();
+    handle.wait();
+    handle.join().unwrap();
+}
+
 /// The acceptance differential: replies from the daemon are
 /// byte-identical to what the offline code path produces on the same
 /// snapshot — stats to `tnet stats`'s render, support to a hand-built

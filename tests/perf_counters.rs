@@ -6,43 +6,36 @@
 //! suite's default workload instead: if a change reintroduces scratch
 //! VF2 searches where propagation should serve, `iso_tests` jumps well
 //! past the gate and this fails long before anyone reads a timing chart.
+//!
+//! The same workload is also checked for exactness: propagated FSG and
+//! gSpan must report the brute-force oracle's classes and TIDs
+//! (`tests/oracle/reference.rs`, which counts every support from scratch
+//! with none of the miners' code), while hub lists spill and the scratch
+//! settle path runs.
 
-use tnet_core::pipeline::Pipeline;
-use tnet_data::od_graph::{EdgeLabeling, VertexLabeling};
+#[allow(dead_code)] // this suite uses a subset of the shared reference
+#[path = "oracle/reference.rs"]
+mod reference;
+
+use reference::{default_workload, TxnCase};
+use std::sync::OnceLock;
 use tnet_fsg::{mine, FsgConfig, Support};
-use tnet_graph::graph::Graph;
-use tnet_graph::rng::StdRng;
-use tnet_gspan::{mine_dfs, GspanConfig};
-use tnet_partition::split::{split_graph, Strategy};
 
 /// Matches `FSG_DEFAULT_ISO_GATE` in the bench_miners binary: the
 /// scratch-VF2 count on this workload is 579, propagation measures 20,
 /// and the gate sits at the 5x-drop mark the optimization promises.
 const ISO_GATE: usize = 116;
 
-/// The bench suite's default workload: synthetic OD graph, deduped,
-/// split into 10 breadth-first transactions. Seeds are fixed so the
-/// counters below are exact, not statistical.
-fn default_workload() -> Vec<Graph> {
-    let p = Pipeline::synthetic(0.015, 42);
-    let od = p.od_graph(EdgeLabeling::GrossWeight, VertexLabeling::Uniform);
-    let mut g = od.graph;
-    g.dedup_edges();
-    let mut rng = StdRng::seed_from_u64(4);
-    split_graph(&g, 10, Strategy::BreadthFirst, &mut rng)
-}
-
-fn fsg_cfg(cap: usize) -> FsgConfig {
+fn fsg_cfg() -> FsgConfig {
     FsgConfig::default()
         .with_support(Support::Count(4))
         .with_max_edges(4)
-        .with_embedding_cap(cap)
 }
 
 #[test]
 fn fsg_iso_tests_stay_under_gate() {
     let txns = default_workload();
-    let out = mine(&txns, &fsg_cfg(FsgConfig::default().embedding_cap)).unwrap();
+    let out = mine(&txns, &fsg_cfg()).unwrap();
     assert_eq!(
         out.patterns.len(),
         62,
@@ -60,52 +53,29 @@ fn fsg_iso_tests_stay_under_gate() {
     );
 }
 
+/// The oracle's answer on the default workload (support 4, up to 4
+/// edges), computed once for both miners' checks.
+fn default_case() -> &'static TxnCase {
+    static CASE: OnceLock<TxnCase> = OnceLock::new();
+    CASE.get_or_init(|| TxnCase::new(default_workload(), 4, 4))
+}
+
 #[test]
 fn fsg_propagated_matches_scratch() {
-    let txns = default_workload();
-    let scratch = mine(&txns, &fsg_cfg(0)).unwrap();
-    // 256 is the default cap; 2 forces the truncation/spill path on
-    // nearly every pattern, exercising inexact-seed re-verification.
-    for cap in [256usize, 2] {
-        let prop = mine(&txns, &fsg_cfg(cap)).unwrap();
-        assert_eq!(prop.patterns.len(), scratch.patterns.len(), "cap {cap}");
-        for (a, b) in prop.patterns.iter().zip(&scratch.patterns) {
-            assert_eq!(a.tids, b.tids, "cap {cap}");
-            assert_eq!(a.support, b.support, "cap {cap}");
-            assert!(
-                tnet_graph::iso::are_isomorphic(&a.graph, &b.graph),
-                "cap {cap}: pattern mismatch"
-            );
-        }
-    }
-    let tiny = mine(&txns, &fsg_cfg(2)).unwrap();
-    assert!(
-        tiny.stats.embeddings_spilled > 0,
-        "cap 2 should overflow some embedding lists"
-    );
+    // Hub lists spill, and some spilled seed prefixes miss a pattern
+    // that does occur — only the scratch settle (an iso test) finds it.
+    let stats = default_case().check_fsg("fsg default workload");
+    assert_eq!(stats.total_frequent(), 62);
+    assert!(stats.embeddings_spilled > 0, "fsg: no list spilled");
+    assert!(stats.iso_tests > 0, "fsg: no unverified miss was settled");
 }
 
 #[test]
 fn gspan_propagated_matches_scratch() {
-    let txns = default_workload();
-    let cfg = |cap: usize| GspanConfig {
-        min_support: Support::Count(4),
-        max_edges: 4,
-        embedding_cap: cap,
-        ..Default::default()
-    };
-    let scratch = mine_dfs(&txns, &cfg(0)).unwrap();
-    for cap in [256usize, 2] {
-        let prop = mine_dfs(&txns, &cfg(cap)).unwrap();
-        assert_eq!(prop.patterns.len(), scratch.patterns.len(), "cap {cap}");
-        for (a, b) in prop.patterns.iter().zip(&scratch.patterns) {
-            assert_eq!(a.tids, b.tids, "cap {cap}");
-            assert!(
-                tnet_graph::iso::are_isomorphic(&a.graph, &b.graph),
-                "cap {cap}: pattern mismatch"
-            );
-        }
-    }
+    let case = default_case();
+    let stats = case.check_gspan("gspan default workload");
     // Both miners agree on the workload's pattern count.
-    assert_eq!(scratch.patterns.len(), 62);
+    assert_eq!(case.class_count(), 62);
+    assert!(stats.embeddings_spilled > 0, "gspan: no list spilled");
+    assert!(stats.iso_tests > 0, "gspan: no unverified miss was settled");
 }
